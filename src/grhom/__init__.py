@@ -8,9 +8,9 @@ dimension triple, and bounded shift-equivalence search.
 
 from .graph import (Edge, Graph, GraphFormatError, Path, StagedEdge,
                     StagedGraph, VertexClass, adjacency, classify_vertices,
-                    count_paths_by_adjacency, covering_graph, enumerate_paths,
-                    graph_from_dict, graph_to_dict, load_graph, make_path,
-                    parse_graph, path_range, path_weight, serialize_graph)
+                    covering_graph, enumerate_paths, graph_from_dict,
+                    graph_to_dict, load_graph, make_path, parse_graph,
+                    path_range, path_weight, serialize_graph)
 from .intlinalg import (FpAbelianGroup, IntMatrix, SmithDecomposition,
                         cokernel, det, eventual_kernel, hermite_row_basis,
                         in_column_span, invariant_factors, kernel_basis,
@@ -31,10 +31,10 @@ from .dynamics import (GraphInvariants, InvariantReport, SearchBudget,
 
 __all__ = [
     "Edge", "Graph", "GraphFormatError", "Path", "StagedEdge", "StagedGraph",
-    "VertexClass", "adjacency", "classify_vertices",
-    "count_paths_by_adjacency", "covering_graph", "enumerate_paths",
-    "graph_from_dict", "graph_to_dict", "load_graph", "make_path",
-    "parse_graph", "path_range", "path_weight", "serialize_graph",
+    "VertexClass", "adjacency", "classify_vertices", "covering_graph",
+    "enumerate_paths", "graph_from_dict", "graph_to_dict", "load_graph",
+    "make_path", "parse_graph", "path_range", "path_weight",
+    "serialize_graph",
     "FpAbelianGroup", "IntMatrix", "SmithDecomposition", "cokernel", "det",
     "eventual_kernel", "hermite_row_basis", "in_column_span",
     "invariant_factors", "kernel_basis", "mat_pow", "mat_pow_apply",

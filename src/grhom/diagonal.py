@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graph import Graph, Path, make_path, path_range
+from .graph import Graph, Path, _looks_like_int, make_path, path_range
 
 
 @dataclass(frozen=True)
@@ -215,11 +215,6 @@ def to_h0_class(g: Graph, x: DiagonalElement) -> tuple[int, ...]:
     for p, c in x.terms.items():
         acc[g.vertex_index(path_range(g, p))] += c
     return tuple(acc)
-
-
-def _looks_like_int(token: str) -> bool:
-    body = token[1:] if token[:1] in "+-" else token
-    return body.isdigit()
 
 
 def parse_diagonal_expression(g: Graph, text: str) -> DiagonalElement:

@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .graph import Graph, VertexClass, adjacency, classify_vertices
-from .homology import h0_presentation
-from .graded import dimension_triple
-from .intlinalg import (FpAbelianGroup, IntMatrix, group_from_factors,
-                        invariant_factors, mat_pow)
+from .graph import Graph, adjacency, check_unit_sink_free
+from .homology import h0
+from .intlinalg import FpAbelianGroup, IntMatrix, mat_pow
 
 
 @dataclass(frozen=True)
@@ -49,23 +47,19 @@ class ShiftEquivalenceCertificate:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds for the certificate search; cap bounds positivity refinement."""
+    """Bounds for the certificate search."""
 
     max_lag: int
     entry_bound: int
-    cap: int = 10
 
     def __post_init__(self):
         if self.max_lag < 1:
             raise ValueError("max_lag must be at least 1")
         if self.entry_bound < 0:
             raise ValueError("entry_bound must be nonnegative")
-        if self.cap < 0:
-            raise ValueError("cap must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {"max_lag": self.max_lag, "entry_bound": self.entry_bound,
-                "cap": self.cap}
+        return {"max_lag": self.max_lag, "entry_bound": self.entry_bound}
 
 
 def _require_square(a: IntMatrix, label: str):
@@ -177,37 +171,20 @@ class GraphInvariants:
     """Order-independent invariants of one graph's edge shift."""
 
     h0_group: FpAbelianGroup
-    specialization_factors: tuple[int, ...]
     spectrum: tuple[int, ...]
-    triple_group: FpAbelianGroup
 
     def to_dict(self) -> dict:
         return {
             "h0_group": self.h0_group.to_dict(),
-            "specialization_factors": [str(d) for d in
-                                       self.specialization_factors],
             "spectrum": [str(c) for c in self.spectrum],
-            "triple_group": self.triple_group.to_dict(),
         }
 
 
 def graph_invariants(g: Graph) -> GraphInvariants:
-    """Invariants entering the comparison pipeline.
-
-    The homology group and the spectrum fingerprint are the two used to
-    distinguish; the full invariant-factor list and the level-zero group of
-    the dimension triple are reported for context only (their unit parts
-    depend on the matrix size, so they cannot soundly separate shifts).
-    """
-    pres = h0_presentation(g)
-    factors = invariant_factors(pres.relations)
-    group = group_from_factors(pres.relations.nrows, factors)
-    return GraphInvariants(
-        h0_group=group,
-        specialization_factors=factors,
-        spectrum=nonzero_spectrum_fingerprint(adjacency(g)),
-        triple_group=dimension_triple(g).group(),
-    )
+    """The two invariants the comparison pipeline distinguishes by: the
+    homology group and the nonzero-spectrum fingerprint."""
+    return GraphInvariants(h0_group=h0(g),
+                           spectrum=nonzero_spectrum_fingerprint(adjacency(g)))
 
 
 @dataclass(frozen=True)
@@ -233,18 +210,6 @@ class InvariantReport:
         }
 
 
-def _require_sft(g: Graph, label: str):
-    classes = classify_vertices(g)
-    for v in g.vertices:
-        if classes[v] is VertexClass.SINK:
-            raise ValueError("%s: vertex %r is a sink; edge shifts need "
-                             "sink-free graphs" % (label, v))
-    for e in g.edges:
-        if e.weight != 1:
-            raise ValueError("%s: edge %r has weight %d; edge shifts need "
-                             "all weights 1" % (label, e.eid, e.weight))
-
-
 def eventual_conjugacy_verdict(g1: Graph, g2: Graph,
                                budget: SearchBudget) -> InvariantReport:
     """Three-stage comparison of two edge shifts.
@@ -256,8 +221,8 @@ def eventual_conjugacy_verdict(g1: Graph, g2: Graph,
     search runs; exhausting the budget yields Unknown with the budget
     echoed, which decides nothing.
     """
-    _require_sft(g1, "first graph")
-    _require_sft(g2, "second graph")
+    check_unit_sink_free(g1, "first graph: an edge shift")
+    check_unit_sink_free(g2, "second graph: an edge shift")
     left = graph_invariants(g1)
     right = graph_invariants(g2)
 

@@ -25,10 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Graph, classify_vertices, VertexClass, adjacency
+from .graph import (Graph, VertexClass, _looks_like_int, adjacency,
+                    check_positive_weights, check_unit_sink_free,
+                    classify_vertices)
 from .homology import Verdict, h0
 from .intlinalg import (FpAbelianGroup, IntMatrix, cokernel, eventual_kernel,
-                        group_from_factors, invariant_factors, mat_pow_apply)
+                        mat_pow_apply)
 
 
 @dataclass(frozen=True)
@@ -171,10 +173,7 @@ class GradedModule:
 
 
 def graded_module(g: Graph) -> GradedModule:
-    for e in g.edges:
-        if e.weight < 1:
-            raise ValueError("edge %r has non-positive weight %d; the graded "
-                             "module requires weights >= 1" % (e.eid, e.weight))
+    check_positive_weights(g, "the graded module")
     classes = classify_vertices(g)
     return GradedModule(
         graph=g,
@@ -417,30 +416,14 @@ class DimensionTriple:
 
     def group(self) -> FpAbelianGroup:
         """Underlying abelian group: Z^rank modulo the eventual kernel."""
-        basis = self.eventual_kernel_basis
-        cols = basis.transpose()
-        factors = invariant_factors(cols)
-        return group_from_factors(self.rank, factors)
+        return cokernel(self.eventual_kernel_basis.transpose())
 
 
 def dimension_triple(g: Graph) -> DimensionTriple:
-    classes = classify_vertices(g)
-    sinks = [v for v, c in classes.items() if c is VertexClass.SINK]
-    if sinks:
-        raise ValueError("dimension triple requires a sink-free graph; "
-                         "%r is a sink" % sinks[0])
-    heavy = [e.eid for e in g.edges if e.weight != 1]
-    if heavy:
-        raise ValueError("dimension triple requires all weights 1; "
-                         "edge %r is heavier" % heavy[0])
+    check_unit_sink_free(g, "dimension triple")
     at = adjacency(g).transpose()
     return DimensionTriple(vertex_order=g.vertices, at=at,
                            eventual_kernel_basis=eventual_kernel(at))
-
-
-def _looks_like_int(token: str) -> bool:
-    body = token[1:] if token[:1] in "+-" else token
-    return body.isdigit()
 
 
 def parse_staged_expression(m: GradedModule, text: str) -> StagedVector:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .intlinalg import IntMatrix, mat_pow
+from .intlinalg import IntMatrix
 
 
 class GraphFormatError(ValueError):
@@ -126,6 +126,12 @@ def path_weight(g: Graph, p: Path) -> int:
     return sum(g.edge(eid).weight for eid in p.edges)
 
 
+def _looks_like_int(token: str) -> bool:
+    """Whether an expression token is an optionally signed decimal integer."""
+    body = token[1:] if token[:1] in "+-" else token
+    return body.isdigit()
+
+
 def _require(cond, message, offender=None):
     if not cond:
         raise GraphFormatError(message, offender)
@@ -200,6 +206,28 @@ def classify_vertices(g: Graph) -> dict[str, VertexClass]:
             for v in g.vertices}
 
 
+def check_positive_weights(g: Graph, what: str):
+    """Raise ValueError naming the first edge of weight below 1; ``what``
+    names the construction that needs positive weights."""
+    for e in g.edges:
+        if e.weight < 1:
+            raise ValueError("edge %r has non-positive weight %d; %s "
+                             "requires weights >= 1" % (e.eid, e.weight, what))
+
+
+def check_unit_sink_free(g: Graph, what: str):
+    """Raise ValueError unless g is sink-free with every weight 1, the class
+    of graphs whose edge shifts and dimension triples are defined here."""
+    for v in g.vertices:
+        if not g.is_regular(v):
+            raise ValueError("%s requires a sink-free graph; %r is a sink"
+                             % (what, v))
+    for e in g.edges:
+        if e.weight != 1:
+            raise ValueError("%s requires all weights 1; edge %r has weight %d"
+                             % (what, e.eid, e.weight))
+
+
 def adjacency(g: Graph) -> IntMatrix:
     """A[u][v] = number of edges u -> v, rows and columns in vertex order."""
     n = len(g.vertices)
@@ -230,20 +258,6 @@ class StagedGraph:
     window: tuple[int, int]
     vertices: tuple[tuple[str, int], ...]
     edges: tuple[StagedEdge, ...]
-
-    def restrict(self, n_min, n_max):
-        return covering_graph(self.base, (n_min, n_max))
-
-    def to_graph(self) -> Graph:
-        """Flatten to an ordinary Graph with 'name@stage' identifiers."""
-        return Graph(
-            vertices=tuple("%s@%d" % vn for vn in self.vertices),
-            edges=tuple(Edge(eid="%s@%d" % (e.eid, e.stage),
-                             src="%s@%d" % e.src,
-                             dst="%s@%d" % e.dst,
-                             weight=self.base.edge(e.eid).weight)
-                        for e in self.edges),
-        )
 
 
 def covering_graph(g: Graph, window) -> StagedGraph:
@@ -283,13 +297,3 @@ def enumerate_paths(g: Graph, max_len: int) -> list[Path]:
         out.extend(nxt)
         level = nxt
     return out
-
-
-def count_paths_by_adjacency(g: Graph, max_len: int) -> int:
-    """Independent path count: sum of all entries of A^0 + ... + A^max_len."""
-    a = adjacency(g)
-    total = 0
-    for k in range(max_len + 1):
-        p = mat_pow(a, k)
-        total += sum(x for row in p.rows for x in row)
-    return total

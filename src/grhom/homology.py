@@ -17,7 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Graph, Path, enumerate_paths, path_range
+from .graph import (Graph, Path, check_positive_weights, enumerate_paths,
+                    path_range)
 from .intlinalg import (FpAbelianGroup, IntMatrix, cokernel, in_column_span,
                         kernel_basis, smith_normal_form)
 
@@ -38,16 +39,8 @@ class H0Presentation:
     relations: IntMatrix
 
 
-def _require_positive_weights(g: Graph):
-    for e in g.edges:
-        if e.weight < 1:
-            raise ValueError("edge %r has non-positive weight %d; "
-                             "homology requires weights >= 1"
-                             % (e.eid, e.weight))
-
-
 def h0_presentation(g: Graph) -> H0Presentation:
-    _require_positive_weights(g)
+    check_positive_weights(g, "homology")
     n = len(g.vertices)
     regular = [v for v in g.vertices if g.out_edges(v)]
     cols = []
@@ -169,7 +162,7 @@ def h0_bruteforce_oracle(g: Graph, max_len: int) -> FpAbelianGroup:
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    _require_positive_weights(g)
+    check_positive_weights(g, "homology")
     paths = enumerate_paths(g, max_len)
     index = {p: i for i, p in enumerate(paths)}
     n = len(paths)

@@ -279,12 +279,6 @@ def cokernel(a: IntMatrix) -> FpAbelianGroup:
                           torsion=tuple(d for d in nonzero if d > 1))
 
 
-def group_from_factors(nrows: int, factors) -> FpAbelianGroup:
-    nonzero = [d for d in factors if d]
-    return FpAbelianGroup(rank=nrows - len(nonzero),
-                          torsion=tuple(d for d in nonzero if d > 1))
-
-
 def hermite_row_basis(rows, ncols) -> IntMatrix:
     """Canonical row Hermite form of the lattice spanned by ``rows``.
 

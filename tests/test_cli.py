@@ -131,6 +131,9 @@ class TestReports:
         assert doc["certificate"]["S"] == [["1"], ["1"]]
         assert doc["left_vertex_order"] == ["u"]
         assert doc["right_vertex_order"] == ["a", "b"]
+        assert set(doc["left"]) == {"h0_group", "spectrum"}
+        assert set(doc["right"]) == {"h0_group", "spectrum"}
+        assert set(doc["budget"]) == {"max_lag", "entry_bound"}
 
     def test_compare_distinguished(self, capsys, data_dir, tmp_path):
         three = tmp_path / "three.json"

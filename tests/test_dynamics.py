@@ -11,7 +11,7 @@ from grhom.dynamics import (SearchBudget, ShiftEquivalenceCertificate,
                             search_shift_equivalence, verify_shift_equivalence)
 from grhom.graded import dimension_triple
 from grhom.graph import adjacency, graph_from_dict, graph_to_dict
-from grhom.homology import Verdict
+from grhom.homology import Verdict, h0
 from grhom.intlinalg import IntMatrix
 
 
@@ -177,9 +177,9 @@ class TestVerdictPipeline:
     def test_preconditions(self, single_sink, weighted_loop, graph_f):
         budget = SearchBudget(max_lag=1, entry_bound=1)
         for bad in (single_sink, weighted_loop):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^first graph: "):
                 eventual_conjugacy_verdict(bad, graph_f, budget)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^second graph: "):
                 eventual_conjugacy_verdict(graph_f, bad, budget)
 
     def test_distinguished_stable_under_vertex_permutation(self, graph_e,
@@ -195,6 +195,7 @@ class TestVerdictPipeline:
     def test_invariants_order_independent(self, graph_e, full2, triple_loop):
         for g in (graph_e, full2, triple_loop):
             assert graph_invariants(permuted(g)) == graph_invariants(g)
+            assert graph_invariants(g).h0_group == h0(g)
 
     def test_report_round_trips_json(self, graph_f, full2):
         budget = SearchBudget(max_lag=2, entry_bound=2)
@@ -202,7 +203,7 @@ class TestVerdictPipeline:
         doc = json.loads(json.dumps(rep.to_dict()))
         assert doc["verdict"] == "EventuallyConjugate"
         assert doc["certificate"]["R"] == [["1", "1"]]
-        assert doc["budget"] == {"max_lag": 2, "entry_bound": 2, "cap": 10}
+        assert doc["budget"] == {"max_lag": 2, "entry_bound": 2}
 
 
 class TestConeConsistency:
