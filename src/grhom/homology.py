@@ -165,22 +165,21 @@ def h0_bruteforce_oracle(g: Graph, max_len: int) -> FpAbelianGroup:
     check_positive_weights(g, "homology")
     paths = enumerate_paths(g, max_len)
     index = {p: i for i, p in enumerate(paths)}
-    n = len(paths)
-    cols = []
-    for p in paths:
-        v = path_range(g, p)
-        out = g.out_edges(v)
-        if len(p.edges) < max_len and out:
-            col = [0] * n
-            col[index[p]] += 1
-            for e in out:
-                col[index[Path(source=p.source if p.edges else v,
-                               edges=p.edges + (e.eid,))]] -= 1
-            cols.append(col)
+    ranges = [path_range(g, p) for p in paths]
+    expands = [len(p.edges) < max_len and bool(g.out_edges(v))
+               for p, v in zip(paths, ranges)]
+    ncols = sum(expands) + sum(1 for p in paths if p.edges)
+    rows = [[0] * ncols for _ in paths]
+    j = 0
+    for i, (p, v) in enumerate(zip(paths, ranges)):
+        if expands[i]:
+            rows[i][j] += 1
+            for e in g.out_edges(v):
+                rows[index[Path(source=p.source if p.edges else v,
+                                edges=p.edges + (e.eid,))]][j] -= 1
+            j += 1
         if p.edges:
-            col = [0] * n
-            col[index[Path(source=v, edges=())]] += 1
-            col[index[p]] -= 1
-            cols.append(col)
-    rows = tuple(tuple(col[i] for col in cols) for i in range(n))
-    return cokernel(IntMatrix(rows, len(cols)))
+            rows[index[Path(source=v, edges=())]][j] += 1
+            rows[i][j] -= 1
+            j += 1
+    return cokernel(IntMatrix(tuple(map(tuple, rows)), ncols))

@@ -5,14 +5,23 @@ normal form with unimodular transforms, Hermite-reduced kernel bases,
 eventual kernels of square matrices, and finitely generated abelian groups
 presented as cokernels.
 
-The Smith elimination uses the smallest-absolute-value nonzero pivot with a
-row-major tie-break, normalizes the diagonal to be nonnegative, and enforces
-the divisibility chain d1 | d2 | ..., so the full decomposition (not only the
-invariant factors) is deterministic for a fixed input.
+There are two Smith paths. ``smith_normal_form`` tracks the transforms and
+is dense: it uses the smallest-absolute-value nonzero pivot with a
+row-major tie-break, normalizes the diagonal to be nonnegative, and
+enforces the divisibility chain d1 | d2 | ..., so the full decomposition
+(not only the invariant factors) is deterministic for a fixed input. Its u
+and v fix the coordinates that ``kernel_basis``, ``in_column_span`` and
+``homology.h0_class`` return, so its pivot rule is part of their output.
+``invariant_factors`` (behind ``cokernel``) needs only the diagonal. It
+first eliminates +-1 pivots on a sparse copy in Markowitz order, each step
+unimodular, so SNF(A) = diag(1, ..., 1, SNF(A')), and then runs the same
+dense elimination on the small core A'. The Smith diagonal is unique, so
+both paths give the same factors.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 
@@ -33,7 +42,10 @@ class IntMatrix:
                 raise ValueError("ragged matrix: row length %d != ncols %d"
                                  % (len(row), self.ncols))
             for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
+                # exact ints pass on the first test; bools and other int
+                # subclasses need the isinstance checks
+                if type(x) is not int and (not isinstance(x, int)
+                                           or isinstance(x, bool)):
                     raise ValueError("matrix entries must be ints, got %r" % (x,))
 
     @classmethod
@@ -266,9 +278,134 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    """Diagonal of the Smith form without tracking the transforms (faster)."""
-    _, _, _, factors = _diagonalize(a, track=False)
-    return factors
+    """Diagonal of the Smith form of a, without the transforms.
+
+    Sparse unit-pivot elimination first, dense Smith on what is left. The
+    nonzeros are kept as row dicts with a column -> rows index. While some
+    entry a[i][j] is a unit u = +-1, take one of least Markowitz cost
+    (r - 1)(c - 1), r and c counting the nonzeros of its row and column,
+    and subtract u * a[k][j] times row i from every other row k; column j
+    is then zero outside row i. Column operations with the unit would
+    clear the rest of row i without touching any other row, so row i and
+    column j are dropped and a factor 1 is counted. Every step is an
+    elementary unimodular operation, so after k unit pivots
+    A ~ diag(I_k, A') and SNF(A) = diag(1, ..., 1, SNF(A')), the 1s
+    leading because 1 divides every factor. The core A' goes to the dense
+    elimination without its zero rows and columns; it is small on the
+    relation matrices of ``homology``, which have a unit in nearly every
+    column. The Smith diagonal is unique, so the pivot order affects speed
+    only, never the result, which equals ``smith_normal_form(a).factors``:
+    the units, the nonzero core factors, then zeros up to
+    min(nrows, ncols).
+
+    Candidates sit in a heap of keys (cost, row, column); a line key
+    (r - 1, i, -1) stands for the units of row i, and (c - 1, -1, j) for
+    those of column j. Every unit keeps a key at most its cost. A step
+    writes entries only at the pivot row's columns, and those units get
+    exact keys. A row it shortens gets a line key, which bounds the costs
+    of its units outside singleton columns; the units inside keep cost 0
+    and their old keys. Columns are handled the same way, and every other
+    cost can only grow. A popped key above its unit's or line's current
+    value is dropped, since a newer key exists, and one below it is pushed
+    again at that value. A line key that matches is expanded into exact
+    keys, and an exact key that matches names a unit of least cost. A long
+    row touched by many steps is therefore not rescanned until its cost
+    comes up.
+
+    ``smith_normal_form`` stays dense: its u and v fix the coordinates of
+    ``kernel_basis``, ``in_column_span`` and ``homology.h0_class``.
+    """
+    rows = {}
+    cols = {}
+    for i, row in enumerate(a.rows):
+        nz = {j: x for j, x in enumerate(row) if x}
+        if nz:
+            rows[i] = nz
+            for j in nz:
+                cols.setdefault(j, set()).add(i)
+    heap = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
+            for i, row in rows.items() for j, x in row.items()
+            if x == 1 or x == -1]
+    heapq.heapify(heap)
+
+    def push(i, j):
+        """Exact key of entry (i, j) if it is a unit."""
+        x = rows[i][j]
+        if x == 1 or x == -1:
+            heapq.heappush(heap, ((len(rows[i]) - 1) * (len(cols[j]) - 1),
+                                  i, j))
+
+    units = 0
+    while heap:
+        key, i, j = heapq.heappop(heap)
+        if i < 0 or j < 0:  # line key
+            line = rows.get(i) if j < 0 else cols.get(j)
+            if line is None:
+                continue
+            now = len(line) - 1
+            if now > key:
+                heapq.heappush(heap, (now, i, j))
+            elif now == key:
+                for k in line:
+                    if j < 0:
+                        push(i, k)
+                    else:
+                        push(k, j)
+            continue
+        prow = rows.get(i)
+        if prow is None or prow.get(j) not in (1, -1):
+            continue
+        cost = (len(prow) - 1) * (len(cols[j]) - 1)
+        if cost != key:
+            if cost > key:
+                heapq.heappush(heap, (cost, i, j))
+            continue
+        del rows[i]
+        u = prow[j]
+        others = cols.pop(j)
+        others.discard(i)
+        before = {jj: len(cols[jj]) for jj in prow if jj != j}
+        for jj in before:
+            cols[jj].discard(i)
+        updated = []
+        for k in others:
+            row = rows[k]
+            length = len(row)
+            q = row[j] * u
+            for jj, x in prow.items():
+                y = row.get(jj, 0) - q * x
+                if y:
+                    if jj not in row:
+                        cols[jj].add(k)
+                    row[jj] = y
+                else:
+                    del row[jj]
+                    if jj != j:
+                        cols[jj].discard(k)
+            if not row:
+                del rows[k]
+            else:
+                updated.append(k)
+                if len(row) < length:
+                    heapq.heappush(heap, (len(row) - 1, k, -1))
+        for jj, length in before.items():
+            rest = cols[jj]
+            if not rest:
+                del cols[jj]
+            elif len(rest) < length:
+                heapq.heappush(heap, (len(rest) - 1, -1, jj))
+        for k in updated:
+            for jj in prow:
+                if jj in rows[k]:
+                    push(k, jj)
+        units += 1
+    factors = (1,) * units
+    if rows:
+        core_cols = sorted(cols)
+        core = IntMatrix(tuple(tuple(row.get(j, 0) for j in core_cols)
+                               for row in rows.values()), len(core_cols))
+        factors += tuple(d for d in _diagonalize(core, track=False)[3] if d)
+    return factors + (0,) * (min(a.nrows, a.ncols) - len(factors))
 
 
 def cokernel(a: IntMatrix) -> FpAbelianGroup:

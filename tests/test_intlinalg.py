@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from grhom import homology
+from grhom.graph import graph_from_dict
 from grhom.intlinalg import (FpAbelianGroup, IntMatrix, cokernel, det,
                              eventual_kernel, hermite_row_basis,
                              in_column_span, invariant_factors, kernel_basis,
@@ -20,6 +22,23 @@ def small_matrix(max_dim=4, max_entry=9):
                 st.lists(st.integers(-max_entry, max_entry),
                          min_size=m, max_size=m),
                 min_size=n, max_size=n).map(lambda rows: mat(rows))))
+
+
+def sparse_matrix(max_dim=12):
+    """Mostly-zero matrices with entries in -2..2, up to max_dim x max_dim
+    (either side may be 0), with some rows and columns zeroed out."""
+    entry = st.sampled_from((0,) * 8 + (-2, -1, -1, 1, 1, 2))
+    return st.integers(0, max_dim).flatmap(
+        lambda m: st.integers(0, max_dim).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m),
+                st.sets(st.integers(0, max_dim - 1), max_size=3),
+                st.sets(st.integers(0, max_dim - 1), max_size=3),
+            ).map(lambda t: IntMatrix(
+                tuple(tuple(0 if i in t[1] or j in t[2] else x
+                            for j, x in enumerate(row))
+                      for i, row in enumerate(t[0])), n))))
 
 
 def square_matrix(max_dim=4, max_entry=6):
@@ -62,6 +81,17 @@ class TestIntMatrix:
         assert mat([[0, 1], [2, 3]]).is_nonneg()
         assert not mat([[0, -1]]).is_nonneg()
 
+    def test_entry_types(self):
+        with pytest.raises(ValueError, match="must be ints"):
+            IntMatrix(((True,),), 1)
+        with pytest.raises(ValueError, match="must be ints"):
+            IntMatrix(((1, 2.0),), 2)
+
+        class Tagged(int):
+            pass
+
+        assert IntMatrix(((Tagged(3), 4),), 2).entry(0, 0) == 3
+
 
 class TestSmithNormalForm:
     def test_diag_2_3(self):
@@ -96,6 +126,54 @@ class TestSmithNormalForm:
     @given(small_matrix())
     def test_invariant_factors_shortcut_agrees(self, a):
         assert invariant_factors(a) == smith_normal_form(a).factors
+
+
+class TestSparseUnitElimination:
+    """invariant_factors (unit pivots, then dense core) against the
+    dense smith_normal_form."""
+
+    @given(sparse_matrix())
+    def test_sparse_agrees_with_dense(self, a):
+        assert invariant_factors(a) == smith_normal_form(a).factors
+
+    @given(small_matrix(max_dim=8, max_entry=1))
+    def test_unit_heavy_agrees_with_dense(self, a):
+        assert invariant_factors(a) == smith_normal_form(a).factors
+
+    def test_empty_shapes_and_zero_matrix(self):
+        assert invariant_factors(IntMatrix((), 3)) == ()
+        assert invariant_factors(IntMatrix(((), (), ()), 0)) == ()
+        assert invariant_factors(IntMatrix.zeros(3, 4)) == (0, 0, 0)
+
+    def test_no_unit_goes_to_core(self):
+        a = mat([[2, 4], [6, 8]])
+        assert invariant_factors(a) == smith_normal_form(a).factors == (2, 4)
+
+    def test_unit_pivot_leaves_non_unit_fill(self):
+        # pivot 1 turns the 4 into 4 - 3 * 2 = -2
+        a = mat([[1, 2], [3, 4]])
+        assert invariant_factors(a) == smith_normal_form(a).factors == (1, 2)
+
+    def test_oracle_matrix_agrees_with_dense(self, monkeypatch):
+        vs = ["v%d" % i for i in range(5)]
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3),
+                 (2, 4), (3, 0), (4, 1), (0, 0), (2, 2)]
+        g = graph_from_dict({
+            "vertices": vs,
+            "edges": [{"id": "e%d" % k, "src": vs[i], "dst": vs[j]}
+                      for k, (i, j) in enumerate(pairs)]})
+        seen = []
+
+        def capture(a):
+            seen.append(a)
+            return cokernel(a)
+
+        monkeypatch.setattr(homology, "cokernel", capture)
+        group = homology.h0_bruteforce_oracle(g, 4)
+        (a,) = seen
+        assert a.nrows >= 200
+        assert invariant_factors(a) == smith_normal_form(a).factors
+        assert group == homology.h0(g)
 
 
 class TestCokernel:
