@@ -29,8 +29,8 @@ from .graph import (Graph, VertexClass, _looks_like_int, adjacency,
                     check_positive_weights, check_unit_sink_free,
                     classify_vertices)
 from .homology import Verdict, h0
-from .intlinalg import (FpAbelianGroup, IntMatrix, cokernel, eventual_kernel,
-                        mat_pow_apply)
+from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, cokernel,
+                        eventual_kernel, mat_pow_apply)
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class StagedVector:
     def build(cls, mapping) -> "StagedVector":
         items = []
         for stage, vec in sorted(mapping.items()):
-            vec = tuple(int(x) for x in vec)
+            vec = _int_vector(vec)
             if any(vec):
                 items.append((int(stage), vec))
         return cls(stages=tuple(items))
@@ -363,7 +363,7 @@ class DimensionTriple:
         return self.at.nrows
 
     def element(self, vec, level: int = 0):
-        vec = tuple(int(x) for x in vec)
+        vec = _int_vector(vec)
         if len(vec) != self.rank:
             raise ValueError("vector length %d does not match rank %d"
                              % (len(vec), self.rank))

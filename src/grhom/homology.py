@@ -19,8 +19,8 @@ from enum import Enum
 
 from .graph import (Graph, Path, check_positive_weights, enumerate_paths,
                     path_range)
-from .intlinalg import (FpAbelianGroup, IntMatrix, cokernel, in_column_span,
-                        kernel_basis, smith_normal_form)
+from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, cokernel,
+                        in_column_span, kernel_basis, smith_normal_form)
 
 
 class Verdict(Enum):
@@ -68,7 +68,7 @@ def h0_class(g: Graph, vec) -> tuple[int, ...]:
     the relation matrix; residues are taken modulo factors larger than 1.
     """
     pres = h0_presentation(g)
-    vec = tuple(int(x) for x in vec)
+    vec = _int_vector(vec)
     if len(vec) != len(pres.vertex_order):
         raise ValueError("vector length %d does not match %d vertices"
                          % (len(vec), len(pres.vertex_order)))
@@ -114,7 +114,7 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     pres = h0_presentation(g)
-    vec = tuple(int(x) for x in vec)
+    vec = _int_vector(vec)
     if len(vec) != len(pres.vertex_order):
         raise ValueError("vector length %d does not match %d vertices"
                          % (len(vec), len(pres.vertex_order)))

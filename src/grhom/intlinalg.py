@@ -6,12 +6,17 @@ eventual kernels of square matrices, and finitely generated abelian groups
 presented as cokernels.
 
 There are two Smith paths. ``smith_normal_form`` tracks the transforms and
-is dense: it uses the smallest-absolute-value nonzero pivot with a
-row-major tie-break, normalizes the diagonal to be nonnegative, and
-enforces the divisibility chain d1 | d2 | ..., so the full decomposition
-(not only the invariant factors) is deterministic for a fixed input. Its u
-and v fix the coordinates that ``kernel_basis``, ``in_column_span`` and
-``homology.h0_class`` return, so its pivot rule is part of their output.
+runs a dense pivot rule: the smallest-absolute-value nonzero pivot with a
+row-major tie-break, a nonnegative diagonal, and the divisibility chain
+d1 | d2 | ... enforced, so the full decomposition (not only the invariant
+factors) is deterministic for a fixed input. Its updates are sparse-aware:
+a row or column operation touches only the nonzeros of the pivot line, and
+a unit pivot skips the divisibility scan. The skipped steps change no
+entry, so u, s and v are those of the plain dense elimination. Its u
+fixes the coordinates that ``homology.h0_class`` returns, so the pivot
+rule is part of that output and of u and v themselves. ``kernel_basis``
+reduces its result to the canonical Hermite basis and ``in_column_span``
+returns a bool, so neither depends on the rule.
 ``invariant_factors`` (behind ``cokernel``) needs only the diagonal. It
 first eliminates +-1 pivots on a sparse copy in Markowitz order, each step
 unimodular, so SNF(A) = diag(1, ..., 1, SNF(A')), and then runs the same
@@ -23,6 +28,23 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+
+
+def _require_int(x, what):
+    """Reject bools and non-ints; callers pass exact ints on a cheaper
+    ``type(x) is int`` test first."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError("%s entries must be ints, got %r" % (what, x))
+
+
+def _int_vector(vec) -> tuple[int, ...]:
+    """vec as a tuple of plain ints, entries checked as in ``IntMatrix``."""
+    vec = tuple(vec)
+    if all(type(x) is int for x in vec):
+        return vec
+    for x in vec:
+        _require_int(x, "vector")
+    return tuple(map(int, vec))
 
 
 @dataclass(frozen=True)
@@ -42,15 +64,12 @@ class IntMatrix:
                 raise ValueError("ragged matrix: row length %d != ncols %d"
                                  % (len(row), self.ncols))
             for x in row:
-                # exact ints pass on the first test; bools and other int
-                # subclasses need the isinstance checks
-                if type(x) is not int and (not isinstance(x, int)
-                                           or isinstance(x, bool)):
-                    raise ValueError("matrix entries must be ints, got %r" % (x,))
+                if type(x) is not int:
+                    _require_int(x, "matrix")
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(map(tuple, rows))
         if ncols is None:
             if not rows:
                 raise ValueError("ncols is required for a matrix with no rows")
@@ -93,7 +112,7 @@ class IntMatrix:
 
     def apply(self, vec):
         """Matrix-vector product, vec given as a sequence of ints."""
-        vec = tuple(int(x) for x in vec)
+        vec = _int_vector(vec)
         if len(vec) != self.ncols:
             raise ValueError("dimension mismatch: %s applied to length %d"
                              % (self.shape, len(vec)))
@@ -176,46 +195,19 @@ def _find_pivot(s, t, m, n):
 
 
 def _diagonalize(a: IntMatrix, track: bool):
-    """Shared Smith elimination; returns (diag rows, u rows, v rows, factors)."""
+    """Shared Smith elimination; returns (diag rows, u rows, v rows, factors).
+
+    Each entry gets the arithmetic of the plain dense elimination, in the
+    same order; only updates by zero and the scan under a unit pivot are
+    skipped (see the module docstring).
+    """
     m, n = a.nrows, a.ncols
     s = [list(row) for row in a.rows]
     u = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
     v = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
 
-    def row_swap(i, k):
-        s[i], s[k] = s[k], s[i]
-        if track:
-            u[i], u[k] = u[k], u[i]
-
-    def col_swap(j, k):
-        for row in s:
-            row[j], row[k] = row[k], row[j]
-        if track:
-            for row in v:
-                row[j], row[k] = row[k], row[j]
-
-    def row_addmul(i, k, q):
-        # row i += q * row k
-        si, sk = s[i], s[k]
-        for j in range(n):
-            si[j] += q * sk[j]
-        if track:
-            ui, uk = u[i], u[k]
-            for j in range(m):
-                ui[j] += q * uk[j]
-
-    def col_addmul(j, k, q):
-        # col j += q * col k
-        for row in s:
-            row[j] += q * row[k]
-        if track:
-            for row in v:
-                row[j] += q * row[k]
-
-    def row_negate(i):
-        s[i] = [-x for x in s[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
+    def nonzeros(line):
+        return [(k, x) for k, x in enumerate(line) if x]
 
     t = 0
     limit = min(m, n)
@@ -226,23 +218,45 @@ def _diagonalize(a: IntMatrix, track: bool):
         while True:
             pi, pj = piv
             if pi != t:
-                row_swap(t, pi)
+                s[t], s[pi] = s[pi], s[t]
+                if track:
+                    u[t], u[pi] = u[pi], u[t]
             if pj != t:
-                col_swap(t, pj)
+                for row in (s + v) if track else s:
+                    row[t], row[pj] = row[pj], row[t]
             if s[t][t] < 0:
-                row_negate(t)
+                s[t] = [-x for x in s[t]]
+                if track:
+                    u[t] = [-x for x in u[t]]
             p = s[t][t]
             dirty = False
+            # row i += q * row t; row t is fixed inside this pass
+            srow = nonzeros(s[t])
+            urow = nonzeros(u[t]) if track else ()
             for i in range(m):
                 if i != t and s[i][t]:
-                    row_addmul(i, t, -(s[i][t] // p))
-                    if s[i][t]:
+                    q = -(s[i][t] // p)
+                    si = s[i]
+                    for j, x in srow:
+                        si[j] += q * x
+                    ui = u[i] if track else None
+                    for j, x in urow:
+                        ui[j] += q * x
+                    if si[t]:
                         dirty = True
             if not dirty:
+                # col j += q * col t; col t is fixed inside this pass
+                scol = nonzeros(row[t] for row in s)
+                vcol = nonzeros(row[t] for row in v) if track else ()
+                st = s[t]
                 for j in range(n):
-                    if j != t and s[t][j]:
-                        col_addmul(j, t, -(s[t][j] // p))
-                        if s[t][j]:
+                    if j != t and st[j]:
+                        q = -(st[j] // p)
+                        for i, x in scol:
+                            s[i][j] += q * x
+                        for i, x in vcol:
+                            v[i][j] += q * x
+                        if st[j]:
                             dirty = True
             if not dirty:
                 break
@@ -250,16 +264,19 @@ def _diagonalize(a: IntMatrix, track: bool):
         # force divisibility: pivot must divide every remaining entry
         p = s[t][t]
         offender = None
-        for i in range(t + 1, m):
-            row = s[i]
-            for j in range(t + 1, n):
-                if row[j] % p:
-                    offender = i
+        if p != 1:
+            for i in range(t + 1, m):
+                row = s[i]
+                for j in range(t + 1, n):
+                    if row[j] % p:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
-            row_addmul(t, offender, 1)
+            # row t += row offender
+            for rows in (s, u) if track else (s,):
+                rows[t] = [x + y for x, y in zip(rows[t], rows[offender])]
             continue
         t += 1
     factors = tuple(s[i][i] for i in range(limit))
@@ -270,9 +287,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Full Smith decomposition u @ a @ v == s with deterministic pivoting."""
     s, u, v, factors = _diagonalize(a, track=True)
     return SmithDecomposition(
-        u=IntMatrix.from_rows(u, a.nrows),
-        s=IntMatrix.from_rows(s, a.ncols),
-        v=IntMatrix.from_rows(v, a.ncols),
+        u=IntMatrix(tuple(map(tuple, u)), a.nrows),
+        s=IntMatrix(tuple(map(tuple, s)), a.ncols),
+        v=IntMatrix(tuple(map(tuple, v)), a.ncols),
         factors=factors,
     )
 
@@ -312,8 +329,8 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     row touched by many steps is therefore not rescanned until its cost
     comes up.
 
-    ``smith_normal_form`` stays dense: its u and v fix the coordinates of
-    ``kernel_basis``, ``in_column_span`` and ``homology.h0_class``.
+    ``smith_normal_form`` keeps the dense pivot rule, because its u fixes
+    the coordinates of ``homology.h0_class``.
     """
     rows = {}
     cols = {}
@@ -509,7 +526,7 @@ def mat_pow_apply(a: IntMatrix, vec, k: int):
     """a^k applied to vec by k successive multiplications."""
     if k < 0:
         raise ValueError("negative matrix power")
-    vec = tuple(int(x) for x in vec)
+    vec = _int_vector(vec)
     if k == 0:
         return vec
     if len(vec) != a.ncols:
@@ -552,7 +569,7 @@ def det(a: IntMatrix) -> int:
 
 def in_column_span(a: IntMatrix, vec) -> bool:
     """Whether vec lies in the integer column span of a."""
-    vec = tuple(int(x) for x in vec)
+    vec = _int_vector(vec)
     if len(vec) != a.nrows:
         raise ValueError("dimension mismatch: vector length %d, matrix %s x %s"
                          % (len(vec), a.nrows, a.ncols))

@@ -1,4 +1,5 @@
 import pathlib
+from random import Random
 
 import pytest
 from hypothesis import settings
@@ -86,3 +87,21 @@ def weighted_loop():
         "vertices": ["u"],
         "edges": [{"id": "e", "src": "u", "dst": "u", "weight": 2}],
     })
+
+
+@pytest.fixture
+def seeded_graph():
+    """Factory for a seeded graph on n vertices with 1-3 out-edges per
+    vertex; with sinks, about a fifth of the vertices get none."""
+    def build(seed, n, sinks):
+        rng = Random(seed)
+        names = ["v%d" % i for i in range(n)]
+        edges = []
+        for i in range(n):
+            if sinks and rng.random() < 0.2:
+                continue
+            for _ in range(rng.randint(1, 3)):
+                edges.append({"id": "e%d" % len(edges), "src": names[i],
+                              "dst": names[rng.randrange(n)]})
+        return graph_from_dict({"vertices": names, "edges": edges})
+    return build

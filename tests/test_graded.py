@@ -51,6 +51,19 @@ class TestStagedVector:
         with pytest.raises(ValueError):
             StagedVector.zero().min_stage()
 
+    @pytest.mark.parametrize("bad", [1.5, True, "2"])
+    def test_non_int_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="vector entries must be ints"):
+            sv({0: (1, bad)})
+
+    def test_int_subclass_stored_as_int(self):
+        class Tagged(int):
+            pass
+
+        v = sv({0: (Tagged(2), 0)})
+        assert v.stages == ((0, (2, 0)),)
+        assert type(v.stages[0][1][0]) is int
+
     def test_sign_predicates(self):
         assert sv({0: (1,), 1: (2,)}).is_nonneg()
         assert sv({0: (-1,)}).is_nonpos()
@@ -319,6 +332,19 @@ class TestDimensionTriple:
         assert t.group().describe() == "Z"
         elem = t.element((5,), 0)
         assert t.automorphism(elem) == elem
+
+    @pytest.mark.parametrize("bad", [0.5, False, "1"])
+    def test_element_rejects_non_int_entries(self, graph_e, bad):
+        t = dimension_triple(graph_e)
+        with pytest.raises(ValueError, match="vector entries must be ints"):
+            t.element((1, bad), 0)
+
+    def test_element_accepts_int_subclass(self, graph_e):
+        class Tagged(int):
+            pass
+
+        t = dimension_triple(graph_e)
+        assert t.element((Tagged(1), 2), 0) == ((1, 2), 0)
 
     def test_rejections(self, single_sink, weighted_loop):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -86,6 +87,36 @@ class TestClasses:
                 moved = tuple(v[i] + pres.relations.entry(i, j)
                               for i in range(n))
                 assert h0_class(g, moved) == base
+
+    @pytest.mark.parametrize("bad", [2.9, -0.7, True, "3"])
+    def test_non_int_entries_rejected(self, graph_e, bad):
+        with pytest.raises(ValueError, match="vector entries must be ints"):
+            h0_class(graph_e, (bad, 0))
+        with pytest.raises(ValueError, match="vector entries must be ints"):
+            h0_is_positive(graph_e, (bad, 0), 5)
+
+    def test_int_subclass_accepted(self, triple_loop):
+        class Tagged(int):
+            pass
+
+        assert h0_class(triple_loop, (Tagged(4),)) == h0_class(triple_loop, (4,))
+        assert h0_is_positive(triple_loop, (Tagged(1),), 0) is Verdict.POSITIVE
+
+    def test_golden_coordinates(self, seeded_graph):
+        """Coordinates depend on the Smith pivot rule (through u), so a
+        change of the elimination must not move them. The hash was taken
+        from the plain dense elimination."""
+        out = []
+        for k, n in enumerate((20, 30, 40, 50, 60, 70, 80, 80)):
+            g = seeded_graph(100 + k, n, sinks=bool(k % 2))
+            rng = Random(200 + k)
+            for _ in range(2):
+                vec = tuple(rng.randint(-5, 5) for _ in range(n))
+                out.append(h0_class(g, vec))
+        assert [len(c) for c in out] == [0, 0, 5, 5, 4, 4, 8, 8,
+                                         4, 4, 9, 9, 2, 2, 14, 14]
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+            "19ab00f40939a1d80e70822336f661d3058a6944bb278db9670f126252779dd8"
 
 
 class TestPositivity:

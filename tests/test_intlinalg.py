@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from grhom import homology
 from grhom.graph import graph_from_dict
-from grhom.intlinalg import (FpAbelianGroup, IntMatrix, cokernel, det,
-                             eventual_kernel, hermite_row_basis,
+from grhom.intlinalg import (FpAbelianGroup, IntMatrix, _diagonalize,
+                             cokernel, det, eventual_kernel, hermite_row_basis,
                              in_column_span, invariant_factors, kernel_basis,
                              mat_pow, mat_pow_apply, smith_normal_form)
 
@@ -39,6 +39,115 @@ def sparse_matrix(max_dim=12):
                 tuple(tuple(0 if i in t[1] or j in t[2] else x
                             for j, x in enumerate(row))
                       for i, row in enumerate(t[0])), n))))
+
+
+def reference_find_pivot(s, t, m, n):
+    """Smallest-absolute-value nonzero entry of s[t:, t:], row-major tie-break."""
+    best = None
+    bi = bj = -1
+    for i in range(t, m):
+        row = s[i]
+        for j in range(t, n):
+            x = row[j]
+            if x:
+                ax = -x if x < 0 else x
+                if best is None or ax < best:
+                    best, bi, bj = ax, i, j
+                    if best == 1:
+                        return bi, bj
+    return None if best is None else (bi, bj)
+
+
+def reference_diagonalize(a: IntMatrix, track: bool):
+    """The plain dense Smith elimination that ``_diagonalize`` must match
+    exactly; returns (diag rows, u rows, v rows, factors)."""
+    m, n = a.nrows, a.ncols
+    s = [list(row) for row in a.rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
+    v = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
+
+    def row_swap(i, k):
+        s[i], s[k] = s[k], s[i]
+        if track:
+            u[i], u[k] = u[k], u[i]
+
+    def col_swap(j, k):
+        for row in s:
+            row[j], row[k] = row[k], row[j]
+        if track:
+            for row in v:
+                row[j], row[k] = row[k], row[j]
+
+    def row_addmul(i, k, q):
+        # row i += q * row k
+        si, sk = s[i], s[k]
+        for j in range(n):
+            si[j] += q * sk[j]
+        if track:
+            ui, uk = u[i], u[k]
+            for j in range(m):
+                ui[j] += q * uk[j]
+
+    def col_addmul(j, k, q):
+        # col j += q * col k
+        for row in s:
+            row[j] += q * row[k]
+        if track:
+            for row in v:
+                row[j] += q * row[k]
+
+    def row_negate(i):
+        s[i] = [-x for x in s[i]]
+        if track:
+            u[i] = [-x for x in u[i]]
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        piv = reference_find_pivot(s, t, m, n)
+        if piv is None:
+            break
+        while True:
+            pi, pj = piv
+            if pi != t:
+                row_swap(t, pi)
+            if pj != t:
+                col_swap(t, pj)
+            if s[t][t] < 0:
+                row_negate(t)
+            p = s[t][t]
+            dirty = False
+            for i in range(m):
+                if i != t and s[i][t]:
+                    row_addmul(i, t, -(s[i][t] // p))
+                    if s[i][t]:
+                        dirty = True
+            if not dirty:
+                for j in range(n):
+                    if j != t and s[t][j]:
+                        col_addmul(j, t, -(s[t][j] // p))
+                        if s[t][j]:
+                            dirty = True
+            if not dirty:
+                break
+            piv = reference_find_pivot(s, t, m, n)
+        # force divisibility: pivot must divide every remaining entry
+        p = s[t][t]
+        offender = None
+        for i in range(t + 1, m):
+            row = s[i]
+            for j in range(t + 1, n):
+                if row[j] % p:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_addmul(t, offender, 1)
+            continue
+        t += 1
+    factors = tuple(s[i][i] for i in range(limit))
+    return s, u, v, factors
 
 
 def square_matrix(max_dim=4, max_entry=6):
@@ -92,6 +201,31 @@ class TestIntMatrix:
 
         assert IntMatrix(((Tagged(3), 4),), 2).entry(0, 0) == 3
 
+    def test_from_rows_does_not_convert(self):
+        for bad in (2.0, True, "3"):
+            with pytest.raises(ValueError, match="matrix entries must be ints"):
+                mat([[1, bad]])
+
+    @pytest.mark.parametrize("bad", [2.9, -0.7, True, "3"])
+    def test_vector_entry_types_rejected(self, bad):
+        a = mat([[2, 0], [0, 1]])
+        calls = [lambda v: a.apply(v), lambda v: in_column_span(a, v),
+                 lambda v: mat_pow_apply(a, v, 0),
+                 lambda v: mat_pow_apply(a, v, 2)]
+        for call in calls:
+            with pytest.raises(ValueError, match="vector entries must be ints"):
+                call((bad, 1))
+
+    def test_vector_int_subclass_accepted(self):
+        class Tagged(int):
+            pass
+
+        a = mat([[2, 0], [0, 1]])
+        assert in_column_span(a, (Tagged(2), 5))
+        out = mat_pow_apply(a, (Tagged(3), Tagged(4)), 0)
+        assert out == (3, 4) and all(type(x) is int for x in out)
+        assert a.apply((Tagged(1), 1)) == (2, 1)
+
 
 class TestSmithNormalForm:
     def test_diag_2_3(self):
@@ -126,6 +260,43 @@ class TestSmithNormalForm:
     @given(small_matrix())
     def test_invariant_factors_shortcut_agrees(self, a):
         assert invariant_factors(a) == smith_normal_form(a).factors
+
+
+class TestDiagonalizeMatchesReference:
+    """The sparse-aware _diagonalize against the plain dense elimination:
+    same s, u, v and factors, with and without transforms."""
+
+    @staticmethod
+    def check(a):
+        for track in (True, False):
+            assert _diagonalize(a, track) == reference_diagonalize(a, track)
+
+    @given(small_matrix())
+    def test_small(self, a):
+        self.check(a)
+
+    @given(sparse_matrix())
+    def test_sparse(self, a):
+        self.check(a)
+
+    @given(small_matrix(max_dim=8, max_entry=50))
+    def test_dense_big_entries(self, a):
+        self.check(a)
+
+    @pytest.mark.parametrize("sinks", [False, True])
+    def test_relation_matrix_n120(self, seeded_graph, sinks):
+        a = homology.h0_presentation(seeded_graph(120, 120, sinks)).relations
+        assert (a.ncols < 120) == sinks
+        self.check(a)
+
+    def test_smith_normal_form_wraps_the_rows(self, seeded_graph):
+        a = homology.h0_presentation(seeded_graph(7, 30, True)).relations
+        s, u, v, factors = reference_diagonalize(a, True)
+        dec = smith_normal_form(a)
+        assert dec.s == IntMatrix.from_rows(s, a.ncols)
+        assert dec.u == IntMatrix.from_rows(u, a.nrows)
+        assert dec.v == IntMatrix.from_rows(v, a.ncols)
+        assert dec.factors == factors
 
 
 class TestSparseUnitElimination:

@@ -1,0 +1,39 @@
+"""Smoke runs of the experiment scripts on tiny corpora."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_survey_small_graphs():
+    res = run_script("survey_small_graphs.py",
+                     "--max-vertices", "2", "--max-edges", "3")
+    assert res.returncode == 0, res.stderr
+    assert "graphs surveyed: 39 (<= 2 vertices, <= 3 edges)" in res.stdout
+    assert "oracle agreement (max_len 2, every 10th graph): 4 / 4" \
+        in res.stdout
+    assert "H0 groups by frequency:" in res.stdout
+
+
+def test_eventual_conjugacy_demo():
+    res = run_script("eventual_conjugacy_demo.py", "--seed", "1",
+                     "--max-vertices", "2", "--max-edges", "3",
+                     "--max-lag", "1", "--entry-bound", "1")
+    assert res.returncode == 0, res.stderr
+    tally = res.stdout.splitlines()[-1]
+    assert tally.startswith("tally: EventuallyConjugate ")
+    counts = [int(part.split()[-1]) for part in tally[7:].split(", ")]
+    # the tally counts the random pairs only, 10 by default
+    assert sum(counts) == 10
