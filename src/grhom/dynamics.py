@@ -18,11 +18,10 @@ a proof of inequivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .graph import Graph, adjacency, check_unit_sink_free
 from .homology import h0
-from .intlinalg import FpAbelianGroup, IntMatrix, mat_pow
+from .intlinalg import FpAbelianGroup, IntMatrix, kernel_basis, mat_pow
 
 
 @dataclass(frozen=True)
@@ -90,15 +89,44 @@ def verify_shift_equivalence(a: IntMatrix, b: IntMatrix,
             and cert.s @ cert.r == mat_pow(b, cert.lag))
 
 
-def _colex_matrices(nrows: int, ncols: int, bound: int):
-    """All matrices with entries in [0, bound], in colexicographic order of
-    the row-major entry tuple (the last entry is the most significant)."""
-    size = nrows * ncols
-    for tup in product(range(bound + 1), repeat=size):
-        flat = tup[::-1]
-        yield IntMatrix.from_rows(
-            [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)],
-            ncols)
+def _intertwiners(a: IntMatrix, b: IntMatrix, bound: int) -> list[IntMatrix]:
+    """Every n x m matrix R with entries in [0, bound] and a R = R b, in
+    colexicographic order of the row-major entry tuple (the last entry is
+    the most significant); see ``search_shift_equivalence``."""
+    n, m = a.nrows, b.nrows
+    size = n * m
+    # unknown t is entry size-1-t of the row-major R, so the lexicographic
+    # order of unknown vectors is the colexicographic order of R
+    eqs = []
+    for i in range(n):
+        for j in range(m):
+            eq = [0] * size
+            for k in range(n):
+                eq[size - 1 - k * m - j] += a.rows[i][k]
+            for k in range(m):
+                eq[size - 1 - i * m - k] -= b.rows[k][j]
+            eqs.append(tuple(eq))
+    basis = kernel_basis(IntMatrix(tuple(eqs), size)).rows
+    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+    ends = pivots[1:] + [size]
+    found = []
+
+    def walk(level, y):
+        if level == len(basis):
+            flat = y[::-1]
+            found.append(IntMatrix(
+                tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(n)), m))
+            return
+        row, c, end = basis[level], pivots[level], ends[level]
+        p = row[c]
+        for z in range(-(y[c] // p), (bound - y[c]) // p + 1):
+            x = [yt + z * kt for yt, kt in zip(y, row)]
+            # unknowns c..end-1 are final: later rows vanish there
+            if all(0 <= x[t] <= bound for t in range(c + 1, end)):
+                walk(level + 1, x)
+
+    walk(0, [0] * size)
+    return found
 
 
 def search_shift_equivalence(a: IntMatrix, b: IntMatrix, max_lag: int,
@@ -107,8 +135,27 @@ def search_shift_equivalence(a: IntMatrix, b: IntMatrix, max_lag: int,
 
     Order: lag ascending, then the concatenated (R entries, S entries)
     tuple in colexicographic order, which makes S the outer loop. Candidate
-    lists are prefiltered by the lag-independent intertwining equations.
-    None means the budget was exhausted, not that no certificate exists.
+    lists are the solutions of the lag-independent intertwining equations
+    a R = R b and b S = S a with entries in [0, entry_bound]. None means
+    the budget was exhausted, not that no certificate exists.
+
+    The candidates are lattice points, not a filtered product of all
+    (entry_bound + 1)^(nm) matrices. a R = R b is the linear system
+    (I (x) a - b^T (x) I) vec(R) = 0 over the integers; ``kernel_basis``
+    gives the Hermite basis K of its integer kernel, with positive pivots
+    p_1, ..., p_d in strictly increasing columns c_1 < ... < c_d and zeros
+    left of each pivot. Every integer solution is z K for a unique integer
+    vector z, because K is a basis of the kernel lattice. In z K, column c_i
+    reads base_i + z_i p_i, with base_i fixed by z_1, ..., z_{i-1}, and
+    columns c_i to c_{i+1} - 1 depend on z_1, ..., z_i only. So
+    0 <= base_i + z_i p_i <= entry_bound leaves finitely many z_i, the
+    walk over them misses no bounded solution, and each partial z is cut
+    as soon as one of its final columns leaves [0, entry_bound]. The
+    unknowns are the entries of R in reverse row-major order, so the first
+    column that differs between two solutions is set by the first z_i that
+    differs, and increases with it (p_i > 0): ascending z, level by level,
+    yields the lexicographic order of reversed entry tuples, which is the
+    colexicographic order of R.
     """
     _require_square(a, "A")
     _require_square(b, "B")
@@ -116,11 +163,8 @@ def search_shift_equivalence(a: IntMatrix, b: IntMatrix, max_lag: int,
         raise ValueError("max_lag must be at least 1")
     if entry_bound < 0:
         raise ValueError("entry_bound must be nonnegative")
-    n, m = a.nrows, b.nrows
-    r_valid = [r for r in _colex_matrices(n, m, entry_bound)
-               if a @ r == r @ b]
-    s_valid = [s for s in _colex_matrices(m, n, entry_bound)
-               if b @ s == s @ a]
+    r_valid = _intertwiners(a, b, entry_bound)
+    s_valid = _intertwiners(b, a, entry_bound)
     for lag in range(1, max_lag + 1):
         al = mat_pow(a, lag)
         bl = mat_pow(b, lag)
@@ -140,15 +184,14 @@ def characteristic_polynomial(a: IntMatrix) -> tuple[int, ...]:
     coeffs = [1]
     m = a
     for k in range(1, n + 1):
-        tr = sum(m.entry(i, i) for i in range(n))
+        tr = sum(row[i] for i, row in enumerate(m.rows))
         if tr % k:
             raise ArithmeticError("trace %d not divisible by %d" % (tr, k))
         c = -(tr // k)
         coeffs.append(c)
         if k < n:
-            shifted = IntMatrix.from_rows(
-                [[m.entry(i, j) + (c if i == j else 0) for j in range(n)]
-                 for i in range(n)], n)
+            shifted = IntMatrix(tuple(row[:i] + (row[i] + c,) + row[i + 1:]
+                                      for i, row in enumerate(m.rows)), n)
             m = a @ shifted
     return tuple(coeffs)
 

@@ -100,15 +100,21 @@ class IntMatrix:
         return IntMatrix(rows, self.nrows)
 
     def __matmul__(self, other):
+        """Row-oriented product that skips zeros: output row i is the sum
+        of row[k] * other.rows[k] over the nonzero entries row[k] of row i
+        of self, so the cost follows the nonzeros of self, not its size."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch: %s @ %s" % (self.shape, other.shape))
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows)
-        return IntMatrix(out, other.ncols)
+        orows = other.rows
+        zero = (0,) * other.ncols
+        out = []
+        for row in self.rows:
+            terms = [orows[k] if x == 1 else [x * y for y in orows[k]]
+                     for k, x in enumerate(row) if x]
+            out.append(tuple(map(sum, zip(*terms))) if terms else zero)
+        return IntMatrix(tuple(out), other.ncols)
 
     def apply(self, vec):
         """Matrix-vector product, vec given as a sequence of ints."""

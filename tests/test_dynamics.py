@@ -1,18 +1,21 @@
+import hashlib
 import json
+from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grhom.corpus import random_primitive_graph
 from grhom.dynamics import (SearchBudget, ShiftEquivalenceCertificate,
-                            characteristic_polynomial,
+                            _intertwiners, characteristic_polynomial,
                             eventual_conjugacy_verdict, graph_invariants,
                             nonzero_spectrum_fingerprint,
                             search_shift_equivalence, verify_shift_equivalence)
 from grhom.graded import dimension_triple
 from grhom.graph import adjacency, graph_from_dict, graph_to_dict
 from grhom.homology import Verdict, h0
-from grhom.intlinalg import IntMatrix
+from grhom.intlinalg import IntMatrix, det, mat_pow
 
 
 def mat(rows):
@@ -29,6 +32,206 @@ def permuted(g):
 A2 = mat([[2]])
 A3 = mat([[3]])
 FULL2 = mat([[1, 1], [1, 1]])
+
+
+def reference_intertwiners(a, b, bound):
+    """Brute force: every n x m matrix R with entries in [0, bound] and
+    a R = R b, in colexicographic order of the row-major entry tuple (the
+    last entry is the most significant)."""
+    nrows, ncols = a.nrows, b.nrows
+    out = []
+    for tup in product(range(bound + 1), repeat=nrows * ncols):
+        flat = tup[::-1]
+        r = IntMatrix.from_rows(
+            [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols)
+        if a @ r == r @ b:
+            out.append(r)
+    return out
+
+
+def reference_search(a, b, max_lag, entry_bound):
+    """The certificate search over brute-force candidate lists; same loop
+    order as ``search_shift_equivalence``."""
+    r_valid = reference_intertwiners(a, b, entry_bound)
+    s_valid = reference_intertwiners(b, a, entry_bound)
+    for lag in range(1, max_lag + 1):
+        al = mat_pow(a, lag)
+        bl = mat_pow(b, lag)
+        for s in s_valid:
+            for r in r_valid:
+                if r @ s == al and s @ r == bl:
+                    return ShiftEquivalenceCertificate(r=r, s=s, lag=lag)
+    return None
+
+
+def permute(a, perm):
+    """P A P^T for the permutation i -> perm[i], on nested lists."""
+    n = len(a)
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            b[perm[i]][perm[j]] = a[i][j]
+    return b
+
+
+def shuffled(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def out_split(rng, a):
+    """An out-splitting of ``a``: one vertex with at least two out-edges is
+    split in two, its out-edges shared between the copies and its
+    in-edges doubled."""
+    n = len(a)
+    v = rng.choice([i for i in range(n) if sum(a[i]) >= 2])
+    edges = [j for j, x in enumerate(a[v]) for _ in range(x)]
+    rng.shuffle(edges)
+    cut = rng.randint(1, len(edges) - 1)
+    b = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n):
+        if i != v:
+            for j in range(n):
+                b[i][j] += a[i][j]
+                if j == v:
+                    b[i][n] += a[i][j]
+    for row, part in ((v, edges[:cut]), (n, edges[cut:])):
+        for j in part:
+            b[row][j] += 1
+            if j == v:
+                b[row][n] += 1
+    return b
+
+
+def in_split(rng, a):
+    return [list(r) for r in zip(*out_split(rng, [list(r) for r in zip(*a)]))]
+
+
+HARD_PAIRS = ((2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (2, 9),
+              (3, 7), (5, 6))
+
+
+def golden_cases():
+    """Seeded (A, B, max_lag, entry_bound) inputs built as the benchmark's
+    compare pairs are: vertex permutations, out- and in-splittings, and
+    hard pairs that share spectrum and h0, plus the doubling map."""
+    rng = Random(5)
+    two, three, full = [[2]], [[3]], [[1, 1], [1, 1]]
+    cases = [(two, full, 2, 2), (full, two, 2, 2), (two, full, 1, 0),
+             (full, two, 2, 1), (full, full, 1, 2), (two, three, 2, 3)]
+    # pairs whose first certificate has lag 2
+    rot = [[0, 0, 0], [0, 0, 1], [1, 0, 1]]
+    cases += [([[0, 0], [2, 0]], [[0, 0, 0], [0, 0, 0], [0, 1, 0]], 2, 1),
+              ([[1]], rot, 2, 2), (rot, [[1]], 2, 2),
+              ([[1, 0], [0, 0]], rot, 2, 1)]
+    for _ in range(6):
+        a = [[0] * 3 for _ in range(3)]
+        looped = rng.randrange(3)
+        for i in range(3):
+            others = [j for j in range(3) if j != i]
+            for j in (rng.sample(others, 1) + [i] if i == looped else others):
+                a[i][j] = 1
+        perm = shuffled(rng, 3)
+        cases.append((a, permute(a, perm), 1, 1))
+        a = [[rng.randint(0, 2) for _ in range(2)] for _ in range(2)]
+        cases.append((a, permute(a, [1, 0]), 2, 2))
+    for split in (out_split, in_split):
+        for _ in range(2):
+            a = permute([[1, 1, 0], [0, 1, 1], [1, 0, 0]], shuffled(rng, 3))
+            cases.append((a, split(rng, a), 1, 1))
+            a = [[rng.randint(1, 2), 1], [1, 0]]
+            cases.append((a, split(rng, a), 1, 2))
+    for j, k in HARD_PAIRS:
+        cases.append((permute([[1, k], [j, 1]], shuffled(rng, 2)),
+                      permute([[1, j * k], [1, 1]], shuffled(rng, 2)), 2, 4))
+    for j, k in HARD_PAIRS[:3]:
+        cases.append((
+            permute([[1, k, 0], [j, 1, 0], [0, 0, 1]], shuffled(rng, 3)),
+            permute([[1, j * k, 0], [1, 1, 0], [0, 0, 1]], shuffled(rng, 3)),
+            2, 2))
+    return [(mat(a), mat(b), lag, bound) for a, b, lag, bound in cases]
+
+
+def square(n, entries=st.integers(0, 3)):
+    return st.lists(st.lists(entries, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(lambda rows: IntMatrix(
+                        tuple(map(tuple, rows)), n))
+
+
+@st.composite
+def search_inputs(draw, cap=5000):
+    """(A, B, entry_bound): n, m in 0..3, entries 0..3, and the bound at
+    most 3 with (bound + 1)^(nm) <= cap. B is drawn at random, as a copy of
+    A, as its transpose, or as A with its vertices permuted, so that many
+    pairs have intertwiners beyond the zero matrix."""
+    n = draw(st.integers(0, 3))
+    a = draw(square(n))
+    kind = draw(st.sampled_from(("random", "same", "transposed",
+                                 "permuted")))
+    if kind == "random":
+        b = draw(square(draw(st.integers(0, 3))))
+    elif kind == "same":
+        b = a
+    elif kind == "transposed":
+        b = a.transpose()
+    else:
+        perm = draw(st.permutations(range(n)))
+        b = IntMatrix(tuple(map(tuple, permute(
+            [list(r) for r in a.rows], perm))), n)
+    top = max(k for k in range(4) if (k + 1) ** (n * b.nrows) <= cap)
+    return a, b, draw(st.integers(0, top))
+
+
+class TestSearchMatchesReference:
+    """The lattice-point enumeration against the brute-force filter over
+    all bounded matrices: same candidates in the same order, so the same
+    first certificate."""
+
+    @settings(max_examples=150)
+    @given(search_inputs())
+    def test_intertwiners_match_reference(self, inputs):
+        a, b, bound = inputs
+        assert _intertwiners(a, b, bound) == reference_intertwiners(a, b,
+                                                                    bound)
+
+    @settings(max_examples=60)
+    @given(search_inputs(cap=300), st.integers(1, 2))
+    def test_search_matches_reference(self, inputs, max_lag):
+        a, b, bound = inputs
+        assert (search_shift_equivalence(a, b, max_lag, bound)
+                == reference_search(a, b, max_lag, bound))
+
+    def test_empty_shapes(self):
+        empty = IntMatrix((), 0)
+        three = mat([[1, 0, 2], [0, 1, 0], [3, 0, 0]])
+        for other in (empty, A2, FULL2, three):
+            for bound in (0, 2):
+                for a, b in ((empty, other), (other, empty)):
+                    found = _intertwiners(a, b, bound)
+                    assert found == reference_intertwiners(a, b, bound)
+                    assert [r.shape for r in found] == [(a.nrows, b.nrows)]
+                    assert (search_shift_equivalence(a, b, 2, bound)
+                            == reference_search(a, b, 2, bound))
+
+    @pytest.mark.parametrize("a, b", [
+        ([[1, 1], [0, 3]], [[3, 0], [1, 1]]),
+        ([[2, 2], [3, 1]], [[2, 3], [2, 1]]),
+        ([[1, 1], [0, 0]], [[1, 0, 3], [2, 3, 3], [0, 0, 0]]),
+    ])
+    def test_negative_lattice_coordinates(self, a, b):
+        """Pairs with bounded solutions z K where some z_i < 0."""
+        a, b = mat(a), mat(b)
+        assert _intertwiners(a, b, 3) == reference_intertwiners(a, b, 3)
+
+    def test_only_zero_intertwiner(self):
+        assert _intertwiners(A2, A3, 3) == [IntMatrix.zeros(1, 1)]
+
+    def test_every_matrix_intertwines_zero(self):
+        zero = IntMatrix.zeros(2, 2)
+        found = _intertwiners(zero, zero, 1)
+        assert len(found) == 16
+        assert found == reference_intertwiners(zero, zero, 1)
 
 
 class TestVerify:
@@ -115,6 +318,21 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_shift_equivalence(A2, A2, max_lag=1, entry_bound=-1)
 
+    def test_golden_certificates(self):
+        """The first certificate depends on the candidate order, so a change
+        of the enumeration must not move it. The hash was taken from the
+        brute-force search over all bounded matrices."""
+        cases = golden_cases()
+        found = [search_shift_equivalence(*case) for case in cases]
+        for (a, b, _, _), cert in zip(cases, found):
+            assert cert is None or verify_shift_equivalence(a, b, cert)
+        doc = json.dumps([c.to_dict() if c else None for c in found],
+                         sort_keys=True)
+        assert [c.lag if c else None for c in found] == (
+            [1, 1, None, 1, 1, None] + [2] * 4 + [1] * 20 + [None] * 12)
+        assert hashlib.sha256(doc.encode()).hexdigest() == \
+            "8dc2323e494cb3638d15b892a5250ca76b5cc3b12edd02c2f5aef5d098b8840e"
+
 
 class TestSpectrum:
     def test_golden_mean(self):
@@ -141,6 +359,33 @@ class TestSpectrum:
         p = mat([[4, 3], [2, 1]])
         assert (nonzero_spectrum_fingerprint(m)
                 == nonzero_spectrum_fingerprint(p))
+
+    @staticmethod
+    def agrees_with_determinant(a):
+        """det(tI - a) by Bareiss at n + 4 points; a degree-n polynomial
+        is fixed by any n + 1 of its values."""
+        coeffs = characteristic_polynomial(a)
+        n = a.nrows
+        for t in range(-3, n + 1):
+            shifted = IntMatrix(tuple(
+                tuple((t if i == j else 0) - x for j, x in enumerate(row))
+                for i, row in enumerate(a.rows)), n)
+            assert sum(c * t ** (n - k) for k, c in enumerate(coeffs)) \
+                == det(shifted)
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_row_sum_two_agrees_with_determinant(self, n):
+        rng = Random(n)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for _ in range(2):
+                a[i][rng.randrange(n)] += 1
+        self.agrees_with_determinant(mat(a))
+
+    @given(st.integers(0, 5).flatmap(
+        lambda n: square(n, st.integers(-9, 9))))
+    def test_small_agrees_with_determinant(self, a):
+        self.agrees_with_determinant(a)
 
 
 class TestVerdictPipeline:

@@ -150,6 +150,26 @@ def reference_diagonalize(a: IntMatrix, track: bool):
     return s, u, v, factors
 
 
+def shaped_matrix(nrows, ncols,
+                  entries=st.one_of(st.sampled_from((0, 1)),
+                                    st.integers(-50, 50))):
+    """Matrices whose row and column counts are drawn from the given
+    strategies; either may be 0. Entries lie in -50..50, with 0 and 1
+    drawn often, since the product skips zeros and does not scale by 1."""
+    return st.tuples(nrows, ncols).flatmap(
+        lambda shape: st.lists(
+            st.lists(entries, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0]).map(
+                lambda rows: IntMatrix(tuple(map(tuple, rows)), shape[1])))
+
+
+def reference_matmul(a, b):
+    """Naive triple loop."""
+    return IntMatrix(tuple(
+        tuple(sum(a.rows[i][k] * b.rows[k][j] for k in range(a.ncols))
+              for j in range(b.ncols)) for i in range(a.nrows)), b.ncols)
+
+
 def square_matrix(max_dim=4, max_entry=6):
     return st.integers(1, max_dim).flatmap(
         lambda n: st.lists(
@@ -181,6 +201,28 @@ class TestIntMatrix:
         b = mat([[0, 1], [1, 0]])
         assert (a @ b).rows == ((2, 1), (4, 3))
         assert (a @ IntMatrix.identity(2)) == a
+
+    @given(st.integers(0, 5).flatmap(lambda k: st.tuples(
+        shaped_matrix(st.integers(0, 5), st.just(k)),
+        shaped_matrix(st.just(k), st.integers(0, 5)))))
+    def test_matmul_matches_triple_loop(self, pair):
+        a, b = pair
+        assert a @ b == reference_matmul(a, b)
+
+    def test_matmul_empty_inner_and_outer(self):
+        assert (IntMatrix.zeros(3, 0) @ IntMatrix((), 4)
+                == IntMatrix.zeros(3, 4))
+        assert (IntMatrix((), 3) @ mat([[1, 2], [3, 4], [5, 6]])
+                == IntMatrix((), 2))
+        assert mat([[1, 2]]) @ IntMatrix.zeros(2, 0) == IntMatrix.zeros(1, 0)
+
+    def test_matmul_rejects(self):
+        a = mat([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a @ mat([[1, 2]])
+        assert a.__matmul__([[1, 0], [0, 1]]) is NotImplemented
+        with pytest.raises(TypeError):
+            a @ 3
 
     def test_apply(self):
         a = mat([[1, 1], [1, 0]])

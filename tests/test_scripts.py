@@ -1,5 +1,7 @@
-"""Smoke runs of the experiment scripts on tiny corpora."""
+"""Smoke runs of the experiment scripts on tiny corpora, and of the
+benchmark's compare workload."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -37,3 +39,16 @@ def test_eventual_conjugacy_demo():
     counts = [int(part.split()[-1]) for part in tally[7:].split(", ")]
     # the tally counts the random pairs only, 10 by default
     assert sum(counts) == 10
+
+
+def test_bench_compare_checks_pass():
+    """One short pass of the compare benchmark: every certificate found
+    must verify and every verdict must be the one its pair was built for."""
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
+         "compare", "--seed", "1", "--seconds", "1", "--trace", "0"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300)
+    assert res.returncode == 0, res.stderr
+    result = json.loads(res.stdout.splitlines()[-1])
+    assert result["correct"] is True, res.stdout
+    assert result["failed"] == 0
