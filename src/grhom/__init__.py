@@ -12,9 +12,9 @@ from .graph import (Edge, Graph, GraphFormatError, Path, StagedEdge,
                     graph_to_dict, load_graph, make_path, parse_graph,
                     path_range, path_weight, serialize_graph)
 from .intlinalg import (FpAbelianGroup, IntMatrix, SmithDecomposition,
-                        cokernel, det, eventual_kernel, hermite_row_basis,
-                        in_column_span, invariant_factors, kernel_basis,
-                        mat_pow, mat_pow_apply, smith_normal_form)
+                        cokernel, eventual_kernel, hermite_row_basis,
+                        invariant_factors, kernel_basis, mat_pow,
+                        mat_pow_apply, smith_normal_form)
 from .diagonal import (DiagonalElement, SpecialEdgeChoice, expand, multiply,
                        normal_form, parse_diagonal_expression, to_h0_class)
 from .homology import (H0Presentation, Verdict, h0, h0_bruteforce_oracle,
@@ -35,10 +35,9 @@ __all__ = [
     "enumerate_paths", "graph_from_dict", "graph_to_dict", "load_graph",
     "make_path", "parse_graph", "path_range", "path_weight",
     "serialize_graph",
-    "FpAbelianGroup", "IntMatrix", "SmithDecomposition", "cokernel", "det",
-    "eventual_kernel", "hermite_row_basis", "in_column_span",
-    "invariant_factors", "kernel_basis", "mat_pow", "mat_pow_apply",
-    "smith_normal_form",
+    "FpAbelianGroup", "IntMatrix", "SmithDecomposition", "cokernel",
+    "eventual_kernel", "hermite_row_basis", "invariant_factors",
+    "kernel_basis", "mat_pow", "mat_pow_apply", "smith_normal_form",
     "DiagonalElement", "SpecialEdgeChoice", "expand", "multiply",
     "normal_form", "parse_diagonal_expression", "to_h0_class",
     "H0Presentation", "Verdict", "h0", "h0_bruteforce_oracle", "h0_class",

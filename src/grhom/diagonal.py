@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graph import Graph, Path, _looks_like_int, make_path, path_range
+from .graph import Graph, Path, _split_terms, make_path, path_range
 
 
 @dataclass(frozen=True)
@@ -220,51 +220,15 @@ def to_h0_class(g: Graph, x: DiagonalElement) -> tuple[int, ...]:
 def parse_diagonal_expression(g: Graph, text: str) -> DiagonalElement:
     """Parse the expression grammar used by the command line.
 
-    Terms are separated by standalone '+' / '-' tokens; inside a term an
-    optional leading integer is the coefficient and the remaining
-    whitespace-separated tokens are edge ids forming a path, or a single
-    vertex id meaning that vertex's idempotent. Purely numeric tokens are
-    always read as coefficients.
+    Signs and coefficients follow ``graph._split_terms``; the body tokens
+    of a term are edge ids forming a path, or a single vertex id meaning
+    that vertex's idempotent. Purely numeric tokens are always read as
+    coefficients.
     """
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty expression")
-    terms: list[tuple[int, list[str]]] = []
-    sign = 1
-    current: list[str] | None = None
-    coeff = 1
-
-    def close():
-        nonlocal current, coeff, sign
-        if current is None:
-            raise ValueError("dangling sign in expression %r" % text)
-        if not current:
-            raise ValueError("coefficient without a path in %r" % text)
-        terms.append((sign * coeff, current))
-        current, coeff, sign = None, 1, 1
-
-    for tok in tokens:
-        if tok in ("+", "-"):
-            if current is None and not terms:
-                raise ValueError("expression starts with %r" % tok)
-            close()
-            sign = -1 if tok == "-" else 1
-            current = None
-        elif _looks_like_int(tok):
-            if current is not None:
-                raise ValueError("unexpected coefficient %r inside a term" % tok)
-            current = []
-            coeff = int(tok)
-        else:
-            if current is None:
-                current = []
-            current.append(tok)
-    close()
-
     vset = set(g.vertices)
     eset = {e.eid for e in g.edges}
     pairs: list[tuple[Path, int]] = []
-    for c, ids in terms:
+    for c, ids in _split_terms(text):
         if len(ids) == 1 and ids[0] in vset and ids[0] in eset:
             raise ValueError("ambiguous id %r names both a vertex and an edge"
                              % ids[0])

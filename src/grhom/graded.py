@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import (Graph, VertexClass, _looks_like_int, adjacency,
-                    check_positive_weights, check_unit_sink_free,
+from .graph import (Graph, VertexClass, _looks_like_int, _split_terms,
+                    adjacency, check_positive_weights, check_unit_sink_free,
                     classify_vertices)
 from .homology import Verdict, h0
 from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, cokernel,
@@ -156,21 +156,6 @@ class GradedModule:
             row[tgt] -= 1
         return StagedVector.build(acc)
 
-    def substitution_matrix(self) -> IntMatrix:
-        """Coefficient transport for one unit stage drop on weight-1 graphs.
-
-        Column v holds the targets of v's out-edges for regular v and is
-        zero for sinks (frozen coordinates do not cascade). Sink-free case:
-        this is the transposed adjacency matrix.
-        """
-        n = self.nvertices
-        rows = [[0] * n for _ in range(n)]
-        for j in range(n):
-            if self.regular[j]:
-                for tgt, _ in self._out[j]:
-                    rows[tgt][j] += 1
-        return IntMatrix.from_rows(rows, n)
-
 
 def graded_module(g: Graph) -> GradedModule:
     check_positive_weights(g, "the graded module")
@@ -264,7 +249,7 @@ def is_positive(m: GradedModule, v: StagedVector, cap: int) -> Verdict:
     return Verdict.UNKNOWN
 
 
-def lambda_map(m: GradedModule, v: StagedVector) -> StagedVector:
+def lambda_map(v: StagedVector) -> StagedVector:
     """The connecting endomorphism: multiplication by (x - 1)."""
     return x_action(v, 1) - v
 
@@ -304,7 +289,7 @@ def verify_exact_sequence(g: Graph) -> dict:
     """
     m = graded_module(g)
     sigma_lambda_zero = all(
-        all(x == 0 for x in sigma_map(lambda_map(m, v)))
+        all(x == 0 for x in sigma_map(lambda_map(v)))
         for v in _sample_elements(m))
 
     n = m.nvertices
@@ -429,49 +414,22 @@ def dimension_triple(g: Graph) -> DimensionTriple:
 def parse_staged_expression(m: GradedModule, text: str) -> StagedVector:
     """Parse generator combinations like ``a(u,0) + 2 a(v,-1)``.
 
-    Terms are separated by standalone '+'/'-' tokens; an optional integer
-    token before a generator is its coefficient. Vertex names containing
-    commas or parentheses cannot be written in this syntax.
+    Signs and coefficients follow ``graph._split_terms``; each term is one
+    ``a(vertex,stage)`` token. Vertex names containing commas or
+    parentheses cannot be written in this syntax.
     """
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty expression")
     total = StagedVector.zero()
-    sign = 1
-    coeff = None
-    # start: term may begin; after_sign/after_coeff: term must complete;
-    # after_term: only a separator may follow
-    state = "start"
-    for tok in tokens:
-        if tok in ("+", "-"):
-            if state not in ("start", "after_term"):
-                raise ValueError("misplaced sign %r" % tok)
-            sign = -1 if tok == "-" else 1
-            state = "after_sign"
-        elif _looks_like_int(tok):
-            if state not in ("start", "after_sign"):
-                raise ValueError("unexpected coefficient %r" % tok)
-            coeff = int(tok)
-            state = "after_coeff"
-        else:
-            if state == "after_term":
-                raise ValueError("missing '+' or '-' before %r" % tok)
-            if not (tok.startswith("a(") and tok.endswith(")")):
-                raise ValueError("cannot read term %r; expected a(vertex,stage)"
-                                 % tok)
-            body = tok[2:-1]
-            if "," not in body:
-                raise ValueError("cannot read term %r; expected a(vertex,stage)"
-                                 % tok)
-            vertex, _, stage_text = body.rpartition(",")
-            if not vertex:
-                raise ValueError("missing vertex in term %r" % tok)
-            if not _looks_like_int(stage_text):
-                raise ValueError("stage %r is not an integer" % stage_text)
-            stage = int(stage_text)
-            c = sign * (coeff if coeff is not None else 1)
-            total = total + m.generator(vertex, stage, coeff=c)
-            sign, coeff, state = 1, None, "after_term"
-    if state != "after_term":
-        raise ValueError("expression %r ends mid-term" % text)
+    for coeff, body in _split_terms(text):
+        if len(body) > 1:
+            raise ValueError("missing '+' or '-' before %r" % body[1])
+        tok = body[0]
+        if not (tok.startswith("a(") and tok.endswith(")") and "," in tok):
+            raise ValueError("cannot read term %r; expected a(vertex,stage)"
+                             % tok)
+        vertex, _, stage_text = tok[2:-1].rpartition(",")
+        if not vertex:
+            raise ValueError("missing vertex in term %r" % tok)
+        if not _looks_like_int(stage_text):
+            raise ValueError("stage %r is not an integer" % stage_text)
+        total = total + m.generator(vertex, int(stage_text), coeff=coeff)
     return total

@@ -132,6 +132,46 @@ def _looks_like_int(token: str) -> bool:
     return body.isdigit()
 
 
+def _split_terms(text: str) -> list[tuple[int, list[str]]]:
+    """Split an expression into its terms, as (coefficient, body tokens).
+
+    The grammar shared by the staged and diagonal expressions: tokens are
+    whitespace-separated, standalone '+'/'-' tokens separate terms and one
+    may open the expression, and a term is an optional integer coefficient
+    followed by one or more body tokens. Integer-looking tokens are always
+    coefficients. The returned coefficient carries the sign before its
+    term and defaults to 1; what the body tokens mean is the caller's.
+    """
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty expression")
+    terms = []
+    sign, coeff, body = 1, 1, []
+    # what the last token was: start (none), sign, coeff or body
+    state = "start"
+    for tok in tokens:
+        if tok in ("+", "-"):
+            if state not in ("start", "body"):
+                raise ValueError("misplaced sign %r" % tok)
+            if body:
+                terms.append((sign * coeff, body))
+                coeff, body = 1, []
+            sign = -1 if tok == "-" else 1
+            state = "sign"
+        elif _looks_like_int(tok):
+            if state not in ("start", "sign"):
+                raise ValueError("unexpected coefficient %r" % tok)
+            coeff = int(tok)
+            state = "coeff"
+        else:
+            body.append(tok)
+            state = "body"
+    if state != "body":
+        raise ValueError("expression %r ends mid-term" % text)
+    terms.append((sign * coeff, body))
+    return terms
+
+
 def _require(cond, message, offender=None):
     if not cond:
         raise GraphFormatError(message, offender)
@@ -180,6 +220,8 @@ def parse_graph(text: str) -> Graph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError("malformed JSON: %s" % exc) from exc
+    except RecursionError:
+        raise GraphFormatError("malformed JSON: nested too deeply") from None
     return graph_from_dict(obj)
 
 

@@ -20,7 +20,7 @@ from enum import Enum
 from .graph import (Graph, Path, check_positive_weights, enumerate_paths,
                     path_range)
 from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, cokernel,
-                        in_column_span, kernel_basis, smith_normal_form)
+                        hermite_row_basis, smith_normal_form)
 
 
 class Verdict(Enum):
@@ -60,12 +60,13 @@ def h0(g: Graph) -> FpAbelianGroup:
     return cokernel(h0_presentation(g).relations)
 
 
-def h0_class(g: Graph, vec) -> tuple[int, ...]:
-    """Canonical coordinates of a class: free coordinates, then residues.
+def _class_coordinates(g: Graph, vec):
+    """The prologue shared by ``h0_class`` and ``h0_is_positive``.
 
-    Two vectors get equal coordinates exactly when they differ by a relation
-    combination. Free coordinates correspond to zero invariant factors of
-    the relation matrix; residues are taken modulo factors larger than 1.
+    Builds the presentation, checks vec against it and takes the Smith
+    decomposition u @ relations @ v == s of the relation matrix. Returns
+    the presentation, vec as a tuple, u, the factor of every row of u
+    (zero past the diagonal) and the coordinates ``h0_class`` returns.
     """
     pres = h0_presentation(g)
     vec = _int_vector(vec)
@@ -73,33 +74,21 @@ def h0_class(g: Graph, vec) -> tuple[int, ...]:
         raise ValueError("vector length %d does not match %d vertices"
                          % (len(vec), len(pres.vertex_order)))
     dec = smith_normal_form(pres.relations)
+    factors = dec.factors + (0,) * (len(vec) - len(dec.factors))
     y = dec.u.apply(vec)
-    limit = min(pres.relations.nrows, pres.relations.ncols)
-    free = []
-    residues = []
-    for i, yi in enumerate(y):
-        d = dec.factors[i] if i < limit else 0
-        if d == 0:
-            free.append(yi)
-        elif d > 1:
-            residues.append(yi % d)
-    return tuple(free) + tuple(residues)
+    free = tuple(yi for yi, d in zip(y, factors) if d == 0)
+    residues = tuple(yi % d for yi, d in zip(y, factors) if d > 1)
+    return pres, vec, dec.u, factors, free + residues
 
 
-def _cone_separation_certificate(relations: IntMatrix, vec) -> bool:
-    """Sound proof that [vec] is outside the positive cone, if one is found.
+def h0_class(g: Graph, vec) -> tuple[int, ...]:
+    """Canonical coordinates of a class: free coordinates, then residues.
 
-    Looks for an entrywise-nonnegative integer functional that kills every
-    relation column and is negative on vec; candidates are the Hermite basis
-    vectors of the left kernel and their negations.
+    Two vectors get equal coordinates exactly when they differ by a relation
+    combination. Free coordinates correspond to zero invariant factors of
+    the relation matrix; residues are taken modulo factors larger than 1.
     """
-    left = kernel_basis(relations.transpose())
-    for row in left.rows:
-        for cand in (row, tuple(-x for x in row)):
-            if all(x >= 0 for x in cand) and \
-                    sum(a * b for a, b in zip(cand, vec)) < 0:
-                return True
-    return False
+    return _class_coordinates(g, vec)[-1]
 
 
 def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
@@ -109,16 +98,17 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
     vector when the class is zero, otherwise one reached by breadth-first
     relation moves within cap dequeues). Negative requires both a Positive
     certificate for -vec and a cap-independent proof that [vec] itself is
-    not in the cone, so verdicts never flip as cap grows.
+    not in the cone, so verdicts never flip as cap grows. That proof is an
+    entrywise-nonnegative integer functional that kills every relation
+    column and is negative on vec; the candidates are the Hermite basis
+    vectors of the left kernel and their negations. The left kernel is
+    spanned by the rows of u whose factor is zero, since
+    u @ relations == s @ v^-1 with u and v unimodular.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    pres = h0_presentation(g)
-    vec = _int_vector(vec)
-    if len(vec) != len(pres.vertex_order):
-        raise ValueError("vector length %d does not match %d vertices"
-                         % (len(vec), len(pres.vertex_order)))
-    if in_column_span(pres.relations, vec):
+    pres, vec, u, factors, coords = _class_coordinates(g, vec)
+    if not any(coords):
         return Verdict.POSITIVE
     cols = [tuple(pres.relations.rows[i][j]
                   for i in range(pres.relations.nrows))
@@ -146,9 +136,15 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
 
     if bfs(vec):
         return Verdict.POSITIVE
-    neg = tuple(-x for x in vec)
-    if bfs(neg) and _cone_separation_certificate(pres.relations, vec):
-        return Verdict.NEGATIVE
+    if not bfs(tuple(-x for x in vec)):
+        return Verdict.UNKNOWN
+    left = hermite_row_basis(
+        [row for row, d in zip(u.rows, factors) if d == 0], len(vec))
+    for row in left.rows:
+        for cand in (row, tuple(-x for x in row)):
+            if all(x >= 0 for x in cand) and \
+                    sum(a * b for a, b in zip(cand, vec)) < 0:
+                return Verdict.NEGATIVE
     return Verdict.UNKNOWN
 
 

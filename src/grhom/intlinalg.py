@@ -15,8 +15,8 @@ a unit pivot skips the divisibility scan. The skipped steps change no
 entry, so u, s and v are those of the plain dense elimination. Its u
 fixes the coordinates that ``homology.h0_class`` returns, so the pivot
 rule is part of that output and of u and v themselves. ``kernel_basis``
-reduces its result to the canonical Hermite basis and ``in_column_span``
-returns a bool, so neither depends on the rule.
+and the left kernel in ``homology.h0_is_positive`` are reduced to the
+canonical Hermite basis, so neither depends on the rule.
 ``invariant_factors`` (behind ``cokernel``) needs only the diagonal. It
 first eliminates +-1 pivots on a sparse copy in Markowitz order, each step
 unimodular, so SNF(A) = diag(1, ..., 1, SNF(A')), and then runs the same
@@ -543,50 +543,3 @@ def mat_pow_apply(a: IntMatrix, vec, k: int):
     for _ in range(k):
         vec = a.apply(vec)
     return vec
-
-
-def det(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    if a.nrows != a.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = a.nrows
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def in_column_span(a: IntMatrix, vec) -> bool:
-    """Whether vec lies in the integer column span of a."""
-    vec = _int_vector(vec)
-    if len(vec) != a.nrows:
-        raise ValueError("dimension mismatch: vector length %d, matrix %s x %s"
-                         % (len(vec), a.nrows, a.ncols))
-    dec = smith_normal_form(a)
-    y = dec.u.apply(vec)
-    limit = min(a.nrows, a.ncols)
-    for i, yi in enumerate(y):
-        d = dec.factors[i] if i < limit else 0
-        if d == 0:
-            if yi != 0:
-                return False
-        elif yi % d:
-            return False
-    return True

@@ -1,0 +1,55 @@
+"""Integer linear algebra that only the tests use.
+
+``det`` checks unimodularity and characteristic polynomials;
+``in_column_span`` decides membership in a column lattice, the reference
+for the window oracle of the graded equality test.
+"""
+
+from grhom.intlinalg import IntMatrix, _int_vector, smith_normal_form
+
+
+def det(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free Bareiss elimination."""
+    if a.nrows != a.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.nrows
+    if n == 0:
+        return 1
+    m = [list(row) for row in a.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def in_column_span(a: IntMatrix, vec) -> bool:
+    """Whether vec lies in the integer column span of a."""
+    vec = _int_vector(vec)
+    if len(vec) != a.nrows:
+        raise ValueError("dimension mismatch: vector length %d, matrix %s x %s"
+                         % (len(vec), a.nrows, a.ncols))
+    dec = smith_normal_form(a)
+    y = dec.u.apply(vec)
+    limit = min(a.nrows, a.ncols)
+    for i, yi in enumerate(y):
+        d = dec.factors[i] if i < limit else 0
+        if d == 0:
+            if yi != 0:
+                return False
+        elif yi % d:
+            return False
+    return True

@@ -21,7 +21,8 @@ from grhom.graded import (dimension_triple, equals, graded_module,
 from grhom.graph import covering_graph, make_path
 from grhom.homology import (h0, h0_bruteforce_oracle, h0_presentation,
                             Verdict)
-from grhom.intlinalg import det, in_column_span, IntMatrix
+from grhom.intlinalg import IntMatrix
+from linalg_helpers import det, in_column_span
 
 
 def report(capsys, number, check):

@@ -204,6 +204,11 @@ class TestErrors:
         bad.write_text("not json at all")
         self.assert_error(capsys, "format", "h0", str(bad))
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100000 + "]" * 100000)
+        self.assert_error(capsys, "format", "h0", str(bad))
+
     def test_bad_expression(self, capsys, data_dir):
         self.assert_error(capsys, "value", "h0gr",
                           path(data_dir, "graphF.json"),

@@ -1,3 +1,4 @@
+from itertools import product
 from random import Random
 
 import pytest
@@ -6,7 +7,8 @@ from grhom.diagonal import (DiagonalElement, SpecialEdgeChoice, expand,
                             multiply, normal_form, parse_diagonal_expression,
                             to_h0_class)
 from grhom.corpus import random_graph
-from grhom.graph import Graph, graph_from_dict, make_path, path_range
+from grhom.graph import (Graph, _looks_like_int, graph_from_dict, make_path,
+                         path_range)
 from grhom.homology import h0_presentation
 
 
@@ -216,6 +218,74 @@ class TestH0Class:
             assert tuple(b - a for b, a in zip(before, after)) == column
 
 
+def reference_parse_diagonal_expression(g, text):
+    """``parse_diagonal_expression`` as it was before the expression
+    tokenizer was shared: the body is kept verbatim."""
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty expression")
+    terms: list[tuple[int, list[str]]] = []
+    sign = 1
+    current: list[str] | None = None
+    coeff = 1
+
+    def close():
+        nonlocal current, coeff, sign
+        if current is None:
+            raise ValueError("dangling sign in expression %r" % text)
+        if not current:
+            raise ValueError("coefficient without a path in %r" % text)
+        terms.append((sign * coeff, current))
+        current, coeff, sign = None, 1, 1
+
+    for tok in tokens:
+        if tok in ("+", "-"):
+            if current is None and not terms:
+                raise ValueError("expression starts with %r" % tok)
+            close()
+            sign = -1 if tok == "-" else 1
+            current = None
+        elif _looks_like_int(tok):
+            if current is not None:
+                raise ValueError("unexpected coefficient %r inside a term" % tok)
+            current = []
+            coeff = int(tok)
+        else:
+            if current is None:
+                current = []
+            current.append(tok)
+    close()
+
+    vset = set(g.vertices)
+    eset = {e.eid for e in g.edges}
+    pairs: list[tuple[Path, int]] = []
+    for c, ids in terms:
+        if len(ids) == 1 and ids[0] in vset and ids[0] in eset:
+            raise ValueError("ambiguous id %r names both a vertex and an edge"
+                             % ids[0])
+        if len(ids) == 1 and ids[0] in vset:
+            pairs.append((make_path(g, (), at=ids[0]), c))
+            continue
+        unknown = [i for i in ids if i not in eset]
+        if unknown:
+            raise ValueError("unknown edge id %r in expression" % unknown[0])
+        pairs.append((make_path(g, ids), c))
+    return DiagonalElement.from_terms(pairs)
+
+
+# signs, coefficients, the edges e, f, g and vertex u of graph_e, and an
+# unknown id
+DIAGONAL_TOKENS = ("+", "-", "2", "-1", "e", "f", "g", "u", "q")
+
+
+def outcome(parse, *args):
+    """The parse result, or ValueError when the parser rejects the input."""
+    try:
+        return parse(*args)
+    except ValueError:
+        return ValueError
+
+
 class TestExpressionParsing:
     def test_path_and_vertex(self, graph_e):
         x = parse_diagonal_expression(graph_e, "f g - 2 u")
@@ -239,3 +309,32 @@ class TestExpressionParsing:
     def test_noncomposable_path(self, graph_e):
         with pytest.raises(ValueError):
             parse_diagonal_expression(graph_e, "f e")
+
+    def test_leading_sign(self, graph_e):
+        assert parse_diagonal_expression(graph_e, "- 2 f g + u") == (
+            unit(graph_e, ("f", "g"), coeff=-2) + unit(graph_e, (), at="u"))
+
+    def test_matches_reference_on_short_token_sequences(self, graph_e):
+        """Every sequence of up to four tokens gets the old parser's result,
+        or an error where it gave one. The one widening: the old parser
+        rejected a leading sign, and now such an expression reads as the
+        old parser read it after a leading vertex term u, minus u."""
+        u = unit(graph_e, (), at="u")
+        widened = 0
+        for k in range(5):
+            for tokens in product(DIAGONAL_TOKENS, repeat=k):
+                text = " ".join(tokens)
+                got = outcome(parse_diagonal_expression, graph_e, text)
+                if tokens and tokens[0] in ("+", "-"):
+                    assert outcome(reference_parse_diagonal_expression,
+                                   graph_e, text) is ValueError
+                    want = outcome(reference_parse_diagonal_expression,
+                                   graph_e, "u " + text)
+                    if want is not ValueError:
+                        want = want - u
+                        widened += 1
+                else:
+                    want = outcome(reference_parse_diagonal_expression,
+                                   graph_e, text)
+                assert got == want, text
+        assert widened > 0

@@ -15,7 +15,8 @@ from grhom.dynamics import (SearchBudget, ShiftEquivalenceCertificate,
 from grhom.graded import dimension_triple
 from grhom.graph import adjacency, graph_from_dict, graph_to_dict
 from grhom.homology import Verdict, h0
-from grhom.intlinalg import IntMatrix, det, mat_pow
+from grhom.intlinalg import IntMatrix, mat_pow
+from linalg_helpers import det
 
 
 def mat(rows):

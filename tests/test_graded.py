@@ -1,3 +1,4 @@
+from itertools import product
 from random import Random
 
 import pytest
@@ -7,9 +8,10 @@ from grhom.graded import (StagedVector, dimension_triple, equals,
                           graded_module, is_positive, lambda_map,
                           parse_staged_expression, pushdown, sigma_map,
                           verify_exact_sequence, x_action)
-from grhom.graph import graph_from_dict
+from grhom.graph import _looks_like_int, graph_from_dict
 from grhom.homology import Verdict, h0
-from grhom.intlinalg import IntMatrix, in_column_span
+from grhom.intlinalg import IntMatrix
+from linalg_helpers import in_column_span
 
 
 def sv(mapping):
@@ -295,7 +297,7 @@ class TestExactSequence:
             g = random_graph(rng, 4, 6)
             m = graded_module(g)
             v = random_staged(rng, m)
-            image = sigma_map(lambda_map(m, v))
+            image = sigma_map(lambda_map(v))
             assert all(x == 0 for x in image)
 
     def test_sigma_collapses_stages(self, graph_e):
@@ -397,6 +399,66 @@ class TestDimensionTriple:
             assert t.equal(t.automorphism(a), t.automorphism(b))
 
 
+def reference_parse_staged_expression(m, text):
+    """``parse_staged_expression`` as it was before the expression
+    tokenizer was shared: the body is kept verbatim."""
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty expression")
+    total = StagedVector.zero()
+    sign = 1
+    coeff = None
+    # start: term may begin; after_sign/after_coeff: term must complete;
+    # after_term: only a separator may follow
+    state = "start"
+    for tok in tokens:
+        if tok in ("+", "-"):
+            if state not in ("start", "after_term"):
+                raise ValueError("misplaced sign %r" % tok)
+            sign = -1 if tok == "-" else 1
+            state = "after_sign"
+        elif _looks_like_int(tok):
+            if state not in ("start", "after_sign"):
+                raise ValueError("unexpected coefficient %r" % tok)
+            coeff = int(tok)
+            state = "after_coeff"
+        else:
+            if state == "after_term":
+                raise ValueError("missing '+' or '-' before %r" % tok)
+            if not (tok.startswith("a(") and tok.endswith(")")):
+                raise ValueError("cannot read term %r; expected a(vertex,stage)"
+                                 % tok)
+            body = tok[2:-1]
+            if "," not in body:
+                raise ValueError("cannot read term %r; expected a(vertex,stage)"
+                                 % tok)
+            vertex, _, stage_text = body.rpartition(",")
+            if not vertex:
+                raise ValueError("missing vertex in term %r" % tok)
+            if not _looks_like_int(stage_text):
+                raise ValueError("stage %r is not an integer" % stage_text)
+            stage = int(stage_text)
+            c = sign * (coeff if coeff is not None else 1)
+            total = total + m.generator(vertex, stage, coeff=c)
+            sign, coeff, state = 1, None, "after_term"
+    if state != "after_term":
+        raise ValueError("expression %r ends mid-term" % text)
+    return total
+
+
+# tokens of every kind the grammar tells apart, and malformed terms
+STAGED_TOKENS = ("+", "-", "0", "2", "-3", "a(u,0)", "a(v,-1)", "a(u)",
+                 "a(,0)", "a(u,x)", "a(w,0)")
+
+
+def outcome(parse, *args):
+    """The parse result, or ValueError when the parser rejects the input."""
+    try:
+        return parse(*args)
+    except ValueError:
+        return ValueError
+
+
 class TestExpressionParsing:
     def test_basic(self, graph_e):
         m = graded_module(graph_e)
@@ -418,3 +480,13 @@ class TestExpressionParsing:
                     "a(w,0)", "a(u)", "b(u,0)", "a(u,x)", "2 3 a(u,0)"):
             with pytest.raises(ValueError):
                 parse_staged_expression(m, bad)
+
+    def test_matches_reference_on_short_token_sequences(self, graph_e):
+        """Every sequence of up to four tokens gets the old parser's result,
+        or an error where it gave one."""
+        m = graded_module(graph_e)
+        for k in range(5):
+            for tokens in product(STAGED_TOKENS, repeat=k):
+                text = " ".join(tokens)
+                assert outcome(parse_staged_expression, m, text) == \
+                    outcome(reference_parse_staged_expression, m, text), text

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter, deque
 from random import Random
 
 import pytest
@@ -7,7 +8,9 @@ from grhom.corpus import enumerate_multigraphs, random_graph
 from grhom.graph import adjacency, classify_vertices, VertexClass
 from grhom.homology import (Verdict, h0, h0_bruteforce_oracle, h0_class,
                             h0_is_positive, h0_presentation)
-from grhom.intlinalg import FpAbelianGroup, IntMatrix, cokernel
+from grhom.intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, cokernel,
+                             kernel_basis)
+from linalg_helpers import in_column_span
 
 
 class TestPresentation:
@@ -119,6 +122,63 @@ class TestClasses:
             "19ab00f40939a1d80e70822336f661d3058a6944bb278db9670f126252779dd8"
 
 
+def reference_cone_separation_certificate(relations, vec):
+    """``homology._cone_separation_certificate`` before it folded into
+    ``h0_is_positive``: the body is kept verbatim."""
+    left = kernel_basis(relations.transpose())
+    for row in left.rows:
+        for cand in (row, tuple(-x for x in row)):
+            if all(x >= 0 for x in cand) and \
+                    sum(a * b for a, b in zip(cand, vec)) < 0:
+                return True
+    return False
+
+
+def reference_h0_is_positive(g, vec, cap):
+    """``h0_is_positive`` as it was before it shared the Smith
+    decomposition of ``h0_class``: the body is kept verbatim apart from
+    the name of the certificate helper."""
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    pres = h0_presentation(g)
+    vec = _int_vector(vec)
+    if len(vec) != len(pres.vertex_order):
+        raise ValueError("vector length %d does not match %d vertices"
+                         % (len(vec), len(pres.vertex_order)))
+    if in_column_span(pres.relations, vec):
+        return Verdict.POSITIVE
+    cols = [tuple(pres.relations.rows[i][j]
+                  for i in range(pres.relations.nrows))
+            for j in range(pres.relations.ncols)]
+
+    def bfs(start) -> bool:
+        if all(x >= 0 for x in start):
+            return True
+        seen = {start}
+        queue = deque([start])
+        dequeued = 0
+        while queue and dequeued < cap:
+            cur = queue.popleft()
+            dequeued += 1
+            for col in cols:
+                for sgn in (1, -1):
+                    nxt = tuple(a + sgn * b for a, b in zip(cur, col))
+                    if nxt in seen:
+                        continue
+                    if all(x >= 0 for x in nxt):
+                        return True
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return False
+
+    if bfs(vec):
+        return Verdict.POSITIVE
+    neg = tuple(-x for x in vec)
+    if bfs(neg) and reference_cone_separation_certificate(pres.relations, vec):
+        return Verdict.NEGATIVE
+    return Verdict.UNKNOWN
+
+
 class TestPositivity:
     def test_nonneg_is_positive_at_cap_zero(self, graph_e):
         assert h0_is_positive(graph_e, (1, 2), 0) is Verdict.POSITIVE
@@ -152,6 +212,24 @@ class TestPositivity:
         neg = h0_is_positive(triple_loop, tuple(-x for x in v), 10)
         if pos is Verdict.POSITIVE:
             assert neg in (Verdict.POSITIVE, Verdict.UNKNOWN, Verdict.ZERO)
+
+    def test_verdicts_match_reference(self):
+        """The shared decomposition gives the old verdicts on the corpus
+        and on seeded random graphs, Negative ones included."""
+        rng = Random(37)
+        graphs = list(enumerate_multigraphs()) + \
+            [random_graph(rng, 6, 10) for _ in range(100)]
+        verdicts = Counter()
+        for g in graphs:
+            n = len(g.vertices)
+            for _ in range(2):
+                v = tuple(rng.randint(-3, 3) for _ in range(n))
+                for cap in (0, 3, 20):
+                    verdict = h0_is_positive(g, v, cap)
+                    assert verdict is reference_h0_is_positive(g, v, cap), \
+                        (g, v, cap)
+                    verdicts[verdict] += 1
+        assert verdicts[Verdict.NEGATIVE] > 0
 
 
 class TestOracle:

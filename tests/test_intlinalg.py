@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 from grhom import homology
 from grhom.graph import graph_from_dict
 from grhom.intlinalg import (FpAbelianGroup, IntMatrix, _diagonalize,
-                             cokernel, det, eventual_kernel, hermite_row_basis,
-                             in_column_span, invariant_factors, kernel_basis,
-                             mat_pow, mat_pow_apply, smith_normal_form)
+                             cokernel, eventual_kernel, hermite_row_basis,
+                             invariant_factors, kernel_basis, mat_pow,
+                             mat_pow_apply, smith_normal_form)
+from linalg_helpers import det, in_column_span
 
 
 def mat(rows, ncols=None):

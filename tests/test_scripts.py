@@ -1,5 +1,5 @@
 """Smoke runs of the experiment scripts on tiny corpora, and of the
-benchmark's compare workload."""
+benchmark's compare and survey workloads."""
 
 import json
 import os
@@ -47,6 +47,20 @@ def test_bench_compare_checks_pass():
     res = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
          "compare", "--seed", "1", "--seconds", "1", "--trace", "0"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300)
+    assert res.returncode == 0, res.stderr
+    result = json.loads(res.stdout.splitlines()[-1])
+    assert result["correct"] is True, res.stdout
+    assert result["failed"] == 0
+
+
+def test_bench_survey_checks_pass():
+    """One short pass of the survey benchmark, the only workload that calls
+    h0_class and h0_is_positive: the oracle must match h0 and every
+    nonnegative vector must test Positive."""
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
+         "survey", "--seed", "1", "--seconds", "1", "--trace", "0"],
         capture_output=True, text=True, cwd=ROOT, timeout=300)
     assert res.returncode == 0, res.stderr
     result = json.loads(res.stdout.splitlines()[-1])
