@@ -29,8 +29,8 @@ from .graph import (Graph, VertexClass, _looks_like_int, _split_terms,
                     adjacency, check_positive_weights, check_unit_sink_free,
                     classify_vertices)
 from .homology import Verdict, h0
-from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, cokernel,
-                        eventual_kernel, mat_pow_apply)
+from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, _require_int,
+                        cokernel, eventual_kernel, mat_pow_apply)
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,13 @@ class StagedVector:
     @classmethod
     def build(cls, mapping) -> "StagedVector":
         items = []
-        for stage, vec in sorted(mapping.items()):
+        for stage, vec in mapping.items():
+            if type(stage) is not int:
+                stage = _require_int(stage, "stages")
             vec = _int_vector(vec)
             if any(vec):
-                items.append((int(stage), vec))
+                items.append((stage, vec))
+        items.sort()
         return cls(stages=tuple(items))
 
     @classmethod
@@ -352,7 +355,7 @@ class DimensionTriple:
         if len(vec) != self.rank:
             raise ValueError("vector length %d does not match rank %d"
                              % (len(vec), self.rank))
-        return (vec, int(level))
+        return (vec, _require_int(level, "levels"))
 
     def from_staged(self, sv: StagedVector):
         """Embed a staged vector; stage n lands at level -n."""

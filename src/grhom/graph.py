@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, _require_int
 
 
 class GraphFormatError(ValueError):
@@ -127,9 +127,10 @@ def path_weight(g: Graph, p: Path) -> int:
 
 
 def _looks_like_int(token: str) -> bool:
-    """Whether an expression token is an optionally signed decimal integer."""
+    """Whether an expression token is an optionally signed integer in ASCII
+    digits (``isdigit`` alone also accepts '²' and Arabic-Indic digits)."""
     body = token[1:] if token[:1] in "+-" else token
-    return body.isdigit()
+    return body.isascii() and body.isdigit()
 
 
 def _split_terms(text: str) -> list[tuple[int, list[str]]]:
@@ -303,7 +304,8 @@ class StagedGraph:
 
 
 def covering_graph(g: Graph, window) -> StagedGraph:
-    n_min, n_max = int(window[0]), int(window[1])
+    n_min, n_max = (_require_int(x, "window bounds")
+                    for x in (window[0], window[1]))
     if n_min > n_max:
         raise ValueError("empty window: [%d, %d]" % (n_min, n_max))
     vertices = tuple((v, n)

@@ -19,8 +19,8 @@ from enum import Enum
 
 from .graph import (Graph, Path, check_positive_weights, enumerate_paths,
                     path_range)
-from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, cokernel,
-                        hermite_row_basis, smith_normal_form)
+from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, _left_kernel,
+                        cokernel, smith_normal_form)
 
 
 class Verdict(Enum):
@@ -64,9 +64,8 @@ def _class_coordinates(g: Graph, vec):
     """The prologue shared by ``h0_class`` and ``h0_is_positive``.
 
     Builds the presentation, checks vec against it and takes the Smith
-    decomposition u @ relations @ v == s of the relation matrix. Returns
-    the presentation, vec as a tuple, u, the factor of every row of u
-    (zero past the diagonal) and the coordinates ``h0_class`` returns.
+    decomposition of the relation matrix. Returns the presentation, vec as
+    a tuple, the decomposition and the coordinates ``h0_class`` returns.
     """
     pres = h0_presentation(g)
     vec = _int_vector(vec)
@@ -78,7 +77,7 @@ def _class_coordinates(g: Graph, vec):
     y = dec.u.apply(vec)
     free = tuple(yi for yi, d in zip(y, factors) if d == 0)
     residues = tuple(yi % d for yi, d in zip(y, factors) if d > 1)
-    return pres, vec, dec.u, factors, free + residues
+    return pres, vec, dec, free + residues
 
 
 def h0_class(g: Graph, vec) -> tuple[int, ...]:
@@ -101,13 +100,12 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
     not in the cone, so verdicts never flip as cap grows. That proof is an
     entrywise-nonnegative integer functional that kills every relation
     column and is negative on vec; the candidates are the Hermite basis
-    vectors of the left kernel and their negations. The left kernel is
-    spanned by the rows of u whose factor is zero, since
-    u @ relations == s @ v^-1 with u and v unimodular.
+    vectors of the left kernel and their negations, taken from the Smith
+    decomposition that gave the coordinates.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    pres, vec, u, factors, coords = _class_coordinates(g, vec)
+    pres, vec, dec, coords = _class_coordinates(g, vec)
     if not any(coords):
         return Verdict.POSITIVE
     cols = [tuple(pres.relations.rows[i][j]
@@ -138,9 +136,7 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
         return Verdict.POSITIVE
     if not bfs(tuple(-x for x in vec)):
         return Verdict.UNKNOWN
-    left = hermite_row_basis(
-        [row for row, d in zip(u.rows, factors) if d == 0], len(vec))
-    for row in left.rows:
+    for row in _left_kernel(dec).rows:
         for cand in (row, tuple(-x for x in row)):
             if all(x >= 0 for x in cand) and \
                     sum(a * b for a, b in zip(cand, vec)) < 0:

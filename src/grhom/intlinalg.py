@@ -1,22 +1,21 @@
 """Exact linear algebra over the integers.
 
 Dense matrices of Python ints (arbitrary precision, never floats), Smith
-normal form with unimodular transforms, Hermite-reduced kernel bases,
+normal form with its unimodular row transform, Hermite-reduced kernel bases,
 eventual kernels of square matrices, and finitely generated abelian groups
 presented as cokernels.
 
-There are two Smith paths. ``smith_normal_form`` tracks the transforms and
-runs a dense pivot rule: the smallest-absolute-value nonzero pivot with a
-row-major tie-break, a nonnegative diagonal, and the divisibility chain
-d1 | d2 | ... enforced, so the full decomposition (not only the invariant
-factors) is deterministic for a fixed input. Its updates are sparse-aware:
-a row or column operation touches only the nonzeros of the pivot line, and
-a unit pivot skips the divisibility scan. The skipped steps change no
-entry, so u, s and v are those of the plain dense elimination. Its u
-fixes the coordinates that ``homology.h0_class`` returns, so the pivot
-rule is part of that output and of u and v themselves. ``kernel_basis``
-and the left kernel in ``homology.h0_is_positive`` are reduced to the
-canonical Hermite basis, so neither depends on the rule.
+There are two Smith paths. ``smith_normal_form`` tracks the row transform
+u, never the column one, and runs a dense pivot rule: the smallest nonzero
+|pivot| with a row-major tie-break, a nonnegative diagonal, and the
+divisibility chain d1 | d2 | ... enforced, so u and s are deterministic
+for a fixed input. Its updates are sparse-aware: a row or column operation
+touches only the nonzeros of the pivot line, and a unit pivot skips the
+divisibility scan. The skipped steps change no entry, so u and s are those
+of the plain dense elimination. u fixes the coordinates that
+``homology.h0_class`` returns, so the pivot rule is part of that output.
+Every kernel is a left kernel read from u by ``_left_kernel`` as a
+canonical Hermite basis, which does not depend on the rule.
 ``invariant_factors`` (behind ``cokernel``) needs only the diagonal. It
 first eliminates +-1 pivots on a sparse copy in Markowitz order, each step
 unimodular, so SNF(A) = diag(1, ..., 1, SNF(A')), and then runs the same
@@ -31,10 +30,12 @@ from dataclasses import dataclass
 
 
 def _require_int(x, what):
-    """Reject bools and non-ints; callers pass exact ints on a cheaper
-    ``type(x) is int`` test first."""
+    """x as a plain int, an int subclass included; bools and non-ints,
+    floats among them, raise ValueError. Hot callers pass exact ints on a
+    cheaper ``type(x) is int`` test first."""
     if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError("%s entries must be ints, got %r" % (what, x))
+        raise ValueError("%s must be ints, got %r" % (what, x))
+    return int(x)
 
 
 def _int_vector(vec) -> tuple[int, ...]:
@@ -42,9 +43,7 @@ def _int_vector(vec) -> tuple[int, ...]:
     vec = tuple(vec)
     if all(type(x) is int for x in vec):
         return vec
-    for x in vec:
-        _require_int(x, "vector")
-    return tuple(map(int, vec))
+    return tuple(_require_int(x, "vector entries") for x in vec)
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class IntMatrix:
                                  % (len(row), self.ncols))
             for x in row:
                 if type(x) is not int:
-                    _require_int(x, "matrix")
+                    _require_int(x, "matrix entries")
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
@@ -137,7 +136,8 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """u @ a @ v == s with u, v unimodular and s diagonal.
+    """s diagonal and u unimodular with u @ a @ v == s for some unimodular
+    v, which is not kept.
 
     ``factors`` is the full diagonal of s (length min(nrows, ncols)): the
     divisibility chain d1 | d2 | ... | dk followed by zeros, all nonnegative.
@@ -145,7 +145,6 @@ class SmithDecomposition:
 
     u: IntMatrix
     s: IntMatrix
-    v: IntMatrix
     factors: tuple[int, ...]
 
 
@@ -201,7 +200,7 @@ def _find_pivot(s, t, m, n):
 
 
 def _diagonalize(a: IntMatrix, track: bool):
-    """Shared Smith elimination; returns (diag rows, u rows, v rows, factors).
+    """Shared Smith elimination; returns (diag rows, u rows, factors).
 
     Each entry gets the arithmetic of the plain dense elimination, in the
     same order; only updates by zero and the scan under a unit pivot are
@@ -210,7 +209,6 @@ def _diagonalize(a: IntMatrix, track: bool):
     m, n = a.nrows, a.ncols
     s = [list(row) for row in a.rows]
     u = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
 
     def nonzeros(line):
         return [(k, x) for k, x in enumerate(line) if x]
@@ -228,7 +226,7 @@ def _diagonalize(a: IntMatrix, track: bool):
                 if track:
                     u[t], u[pi] = u[pi], u[t]
             if pj != t:
-                for row in (s + v) if track else s:
+                for row in s:
                     row[t], row[pj] = row[pj], row[t]
             if s[t][t] < 0:
                 s[t] = [-x for x in s[t]]
@@ -253,15 +251,12 @@ def _diagonalize(a: IntMatrix, track: bool):
             if not dirty:
                 # col j += q * col t; col t is fixed inside this pass
                 scol = nonzeros(row[t] for row in s)
-                vcol = nonzeros(row[t] for row in v) if track else ()
                 st = s[t]
                 for j in range(n):
                     if j != t and st[j]:
                         q = -(st[j] // p)
                         for i, x in scol:
                             s[i][j] += q * x
-                        for i, x in vcol:
-                            v[i][j] += q * x
                         if st[j]:
                             dirty = True
             if not dirty:
@@ -286,16 +281,16 @@ def _diagonalize(a: IntMatrix, track: bool):
             continue
         t += 1
     factors = tuple(s[i][i] for i in range(limit))
-    return s, u, v, factors
+    return s, u, factors
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Full Smith decomposition u @ a @ v == s with deterministic pivoting."""
-    s, u, v, factors = _diagonalize(a, track=True)
+    """Smith form s of a and the row transform u, with deterministic
+    pivoting; u @ a @ v == s for a unimodular v that is not kept."""
+    s, u, factors = _diagonalize(a, track=True)
     return SmithDecomposition(
         u=IntMatrix(tuple(map(tuple, u)), a.nrows),
         s=IntMatrix(tuple(map(tuple, s)), a.ncols),
-        v=IntMatrix(tuple(map(tuple, v)), a.ncols),
         factors=factors,
     )
 
@@ -427,7 +422,7 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
         core_cols = sorted(cols)
         core = IntMatrix(tuple(tuple(row.get(j, 0) for j in core_cols)
                                for row in rows.values()), len(core_cols))
-        factors += tuple(d for d in _diagonalize(core, track=False)[3] if d)
+        factors += tuple(d for d in _diagonalize(core, track=False)[2] if d)
     return factors + (0,) * (min(a.nrows, a.ncols) - len(factors))
 
 
@@ -487,14 +482,22 @@ def hermite_row_basis(rows, ncols) -> IntMatrix:
     return IntMatrix(basis, ncols)
 
 
+def _left_kernel(dec: SmithDecomposition) -> IntMatrix:
+    """Hermite basis (as rows) of {y : y @ a == 0}, a the decomposed matrix.
+
+    u @ a == s @ v^-1, so y @ a == 0 iff y @ u^-1 vanishes on the rows of s
+    with a nonzero factor: the rows of u whose factor is 0 or that lie past
+    the diagonal span the left kernel."""
+    factors = dec.factors
+    return hermite_row_basis(
+        [row for i, row in enumerate(dec.u.rows)
+         if i >= len(factors) or factors[i] == 0], dec.u.ncols)
+
+
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Hermite-reduced basis (as rows) of the integer kernel of a."""
-    dec = smith_normal_form(a)
-    limit = min(a.nrows, a.ncols)
-    free_cols = [j for j in range(a.ncols)
-                 if j >= limit or dec.factors[j] == 0]
-    vectors = [tuple(dec.v.rows[i][j] for i in range(a.ncols)) for j in free_cols]
-    return hermite_row_basis(vectors, a.ncols)
+    """Hermite-reduced basis (as rows) of the integer kernel of a: the
+    left kernel of a^T, since a @ x == 0 exactly when x @ a^T == 0."""
+    return _left_kernel(smith_normal_form(a.transpose()))
 
 
 def eventual_kernel(a: IntMatrix) -> IntMatrix:
@@ -502,13 +505,7 @@ def eventual_kernel(a: IntMatrix) -> IntMatrix:
     if a.nrows != a.ncols:
         raise ValueError("eventual kernel requires a square matrix, got %s"
                          % (a.shape,))
-    n = a.nrows
-    if n == 0:
-        return IntMatrix((), 0)
-    power = a
-    for _ in range(n - 1):
-        power = power @ a
-    return kernel_basis(power)
+    return kernel_basis(mat_pow(a, a.nrows))
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:

@@ -182,6 +182,7 @@ class TestErrors:
         doc = json.loads(out)
         assert doc["error"]["kind"] == kind
         assert doc["error"]["message"]
+        return doc["error"]["message"]
 
     def test_unknown_command(self, capsys):
         self.assert_error(capsys, "usage", "frobnicate")
@@ -213,6 +214,24 @@ class TestErrors:
         self.assert_error(capsys, "value", "h0gr",
                           path(data_dir, "graphF.json"),
                           "--positive", "a(u,")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("h0gr", "--positive", "\u00b2 a(u,0)"),
+         "missing '+' or '-' before 'a(u,0)'"),
+        (("h0gr", "--positive", "a(u,\u00b2)"),
+         "stage '\u00b2' is not an integer"),
+        (("nf", "--expr", "\u0663 e"),
+         "unknown edge id '\u0663' in expression"),
+    ], ids=["superscript-coefficient", "superscript-stage",
+            "arabic-indic-coefficient"])
+    def test_non_ascii_digits_are_not_integers(self, capsys, data_dir,
+                                               argv, message):
+        """Only ASCII digits make an integer token; other Unicode digits
+        are body tokens and meet the grammar's own errors."""
+        cmd, *rest = argv
+        assert self.assert_error(capsys, "value", cmd,
+                                 path(data_dir, "graphE.json"),
+                                 *rest) == message
 
     def test_cap_with_equals_rejected(self, capsys, data_dir):
         self.assert_error(capsys, "value", "h0gr",

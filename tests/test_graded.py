@@ -66,6 +66,23 @@ class TestStagedVector:
         assert v.stages == ((0, (2, 0)),)
         assert type(v.stages[0][1][0]) is int
 
+    @pytest.mark.parametrize("bad", [0.7, 1.9, 2.0, True, "2", None])
+    def test_non_int_stages_rejected(self, graph_e, bad):
+        with pytest.raises(ValueError, match="stages must be ints"):
+            sv({bad: (1, 0)})
+        with pytest.raises(ValueError, match="stages must be ints"):
+            sv({0: (1, 0), bad: (1, 0)})
+        with pytest.raises(ValueError, match="stages must be ints"):
+            graded_module(graph_e).generator("u", bad)
+
+    def test_int_subclass_stage_stored_as_int(self):
+        class Tagged(int):
+            pass
+
+        v = sv({Tagged(3): (1,)})
+        assert v.stages == ((3, (1,)),)
+        assert type(v.stages[0][0]) is int
+
     def test_sign_predicates(self):
         assert sv({0: (1,), 1: (2,)}).is_nonneg()
         assert sv({0: (-1,)}).is_nonpos()
@@ -347,6 +364,19 @@ class TestDimensionTriple:
 
         t = dimension_triple(graph_e)
         assert t.element((Tagged(1), 2), 0) == ((1, 2), 0)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, "1"])
+    def test_element_rejects_non_int_level(self, graph_e, bad):
+        t = dimension_triple(graph_e)
+        with pytest.raises(ValueError, match="levels must be ints"):
+            t.element((1, 0), bad)
+
+    def test_element_level_int_subclass_stored_as_int(self, graph_e):
+        class Tagged(int):
+            pass
+
+        level = dimension_triple(graph_e).element((1, 0), Tagged(2))[1]
+        assert level == 2 and type(level) is int
 
     def test_rejections(self, single_sink, weighted_loop):
         with pytest.raises(ValueError):

@@ -148,6 +148,20 @@ class TestCoveringGraph:
         with pytest.raises(ValueError):
             covering_graph(graph_f, (1, 0))
 
+    @pytest.mark.parametrize("window", [(0.5, 1.5), (0, 1.0), (False, 1),
+                                        ("0", 1)])
+    def test_non_int_window_rejected(self, graph_f, window):
+        with pytest.raises(ValueError, match="window bounds must be ints"):
+            covering_graph(graph_f, window)
+
+    def test_int_subclass_window_stored_as_int(self, graph_f):
+        class Tagged(int):
+            pass
+
+        staged = covering_graph(graph_f, (Tagged(-1), Tagged(1)))
+        assert staged == covering_graph(graph_f, (-1, 1))
+        assert all(type(n) is int for n in staged.window)
+
     def test_stage_drop_matches_weight(self):
         g = graph_from_dict({"vertices": ["a", "b"], "edges": [
             {"id": "e", "src": "a", "dst": "b", "weight": 2},

@@ -8,9 +8,9 @@ from grhom.corpus import enumerate_multigraphs, random_graph
 from grhom.graph import adjacency, classify_vertices, VertexClass
 from grhom.homology import (Verdict, h0, h0_bruteforce_oracle, h0_class,
                             h0_is_positive, h0_presentation)
-from grhom.intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, cokernel,
-                             kernel_basis)
+from grhom.intlinalg import FpAbelianGroup, IntMatrix, _int_vector, cokernel
 from linalg_helpers import in_column_span
+from test_intlinalg import reference_kernel_basis
 
 
 class TestPresentation:
@@ -124,8 +124,10 @@ class TestClasses:
 
 def reference_cone_separation_certificate(relations, vec):
     """``homology._cone_separation_certificate`` before it folded into
-    ``h0_is_positive``: the body is kept verbatim."""
-    left = kernel_basis(relations.transpose())
+    ``h0_is_positive``: the body is kept verbatim, on the v-based
+    reference kernel, since ``kernel_basis`` of the transpose runs
+    the same code as ``h0_is_positive``."""
+    left = reference_kernel_basis(relations.transpose())
     for row in left.rows:
         for cand in (row, tuple(-x for x in row)):
             if all(x >= 0 for x in cand) and \

@@ -151,6 +151,42 @@ def reference_diagonalize(a: IntMatrix, track: bool):
     return s, u, v, factors
 
 
+def reference_kernel_basis(a: IntMatrix) -> IntMatrix:
+    """``kernel_basis`` as it was when the Smith form kept the column
+    transform v: the kernel is spanned by the columns of v whose factor is
+    zero or that lie past the diagonal. The body is kept verbatim, with v
+    and the factors read from ``reference_diagonalize``."""
+    _, _, v, factors = reference_diagonalize(a, True)
+    limit = min(a.nrows, a.ncols)
+    free_cols = [j for j in range(a.ncols)
+                 if j >= limit or factors[j] == 0]
+    vectors = [tuple(v[i][j] for i in range(a.ncols)) for j in free_cols]
+    return hermite_row_basis(vectors, a.ncols)
+
+
+def reference_eventual_kernel(a: IntMatrix) -> IntMatrix:
+    """``eventual_kernel`` as it was before it used ``mat_pow``, on
+    ``reference_kernel_basis``: n - 1 sequential products."""
+    n = a.nrows
+    if n == 0:
+        return IntMatrix((), 0)
+    power = a
+    for _ in range(n - 1):
+        power = power @ a
+    return reference_kernel_basis(power)
+
+
+def row_sum_two(seed, n):
+    """n x n adjacency matrix with every row sum 2, targets drawn with
+    repetition, so zero and repeated columns give nontrivial kernels."""
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(n)]
+    for row in rows:
+        for _ in range(2):
+            row[rng.randrange(n)] += 1
+    return mat(rows)
+
+
 def shaped_matrix(nrows, ncols,
                   entries=st.one_of(st.sampled_from((0, 1)),
                                     st.integers(-50, 50))):
@@ -290,15 +326,18 @@ class TestSmithNormalForm:
 
     @given(small_matrix())
     def test_uav_equals_s(self, a):
+        """u @ a @ v == s for some unimodular v, which is what
+        ``h0_class`` relies on: u is unimodular, s is diagonal, and u @ a
+        has the column lattice of s."""
         dec = smith_normal_form(a)
-        s = dec.u @ a @ dec.v
-        assert s == dec.s
+        s = dec.s
         assert det(dec.u) in (1, -1)
-        assert det(dec.v) in (1, -1)
         for i in range(s.nrows):
             for j in range(s.ncols):
                 if i != j:
                     assert s.entry(i, j) == 0
+        assert (hermite_row_basis((dec.u @ a).transpose().rows, a.nrows)
+                == hermite_row_basis(s.transpose().rows, a.nrows))
 
     @given(small_matrix())
     def test_invariant_factors_shortcut_agrees(self, a):
@@ -307,12 +346,14 @@ class TestSmithNormalForm:
 
 class TestDiagonalizeMatchesReference:
     """The sparse-aware _diagonalize against the plain dense elimination:
-    same s, u, v and factors, with and without transforms."""
+    same s, u and factors, with and without the row transform. The
+    reference also tracks v, which _diagonalize does not build."""
 
     @staticmethod
     def check(a):
         for track in (True, False):
-            assert _diagonalize(a, track) == reference_diagonalize(a, track)
+            s, u, _, factors = reference_diagonalize(a, track)
+            assert _diagonalize(a, track) == (s, u, factors)
 
     @given(small_matrix())
     def test_small(self, a):
@@ -334,11 +375,10 @@ class TestDiagonalizeMatchesReference:
 
     def test_smith_normal_form_wraps_the_rows(self, seeded_graph):
         a = homology.h0_presentation(seeded_graph(7, 30, True)).relations
-        s, u, v, factors = reference_diagonalize(a, True)
+        s, u, _, factors = reference_diagonalize(a, True)
         dec = smith_normal_form(a)
         assert dec.s == IntMatrix.from_rows(s, a.ncols)
         assert dec.u == IntMatrix.from_rows(u, a.nrows)
-        assert dec.v == IntMatrix.from_rows(v, a.ncols)
         assert dec.factors == factors
 
 
@@ -443,6 +483,11 @@ class TestKernels:
         with pytest.raises(ValueError):
             eventual_kernel(mat([[1, 2]]))
 
+    def test_empty_shapes(self):
+        assert eventual_kernel(IntMatrix((), 0)) == IntMatrix((), 0)
+        assert kernel_basis(IntMatrix((), 3)) == IntMatrix.identity(3)
+        assert kernel_basis(IntMatrix.zeros(3, 0)) == IntMatrix((), 0)
+
     def test_kernel_vectors_annihilate(self):
         a = mat([[1, 2, 3], [2, 4, 6]])
         basis = kernel_basis(a)
@@ -473,6 +518,32 @@ class TestKernels:
             image = a.apply(row)
             again = hermite_row_basis(lattice_rows + (image,), a.ncols)
             assert again == basis
+
+
+class TestKernelsMatchReference:
+    """kernel_basis, the left kernel of the transpose read from u, against
+    the kernel read from the columns of v. Both are Hermite bases of the
+    same lattice, so they are equal."""
+
+    @given(small_matrix())
+    def test_small(self, a):
+        assert kernel_basis(a) == reference_kernel_basis(a)
+
+    @given(sparse_matrix())
+    def test_sparse(self, a):
+        assert kernel_basis(a) == reference_kernel_basis(a)
+
+    @given(small_matrix(max_dim=8, max_entry=50))
+    def test_dense_big_entries(self, a):
+        assert kernel_basis(a) == reference_kernel_basis(a)
+
+    @pytest.mark.parametrize("seed, n", [(1, 10), (2, 12), (3, 15), (4, 18),
+                                         (5, 20)])
+    def test_eventual_kernel_row_sum_two(self, seed, n):
+        a = row_sum_two(seed, n)
+        basis = eventual_kernel(a)
+        assert basis.nrows > 0
+        assert basis == reference_eventual_kernel(a)
 
 
 class TestHermite:

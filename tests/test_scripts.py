@@ -1,5 +1,5 @@
 """Smoke runs of the experiment scripts on tiny corpora, and of the
-benchmark's compare and survey workloads."""
+benchmark's compare, survey and queries workloads."""
 
 import json
 import os
@@ -61,6 +61,20 @@ def test_bench_survey_checks_pass():
     res = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
          "survey", "--seed", "1", "--seconds", "1", "--trace", "0"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300)
+    assert res.returncode == 0, res.stderr
+    result = json.loads(res.stdout.splitlines()[-1])
+    assert result["correct"] is True, res.stdout
+    assert result["failed"] == 0
+
+
+def test_bench_queries_checks_pass():
+    """One short pass of the queries benchmark, the only workload that
+    checks equals against DimensionTriple.equal (through eventual_kernel)
+    and re-runs CLI output byte for byte."""
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
+         "queries", "--seed", "1", "--seconds", "1", "--trace", "0"],
         capture_output=True, text=True, cwd=ROOT, timeout=300)
     assert res.returncode == 0, res.stderr
     result = json.loads(res.stdout.splitlines()[-1])
