@@ -22,6 +22,7 @@ canonical automorphism and positivity).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -183,6 +184,15 @@ def pushdown(m: GradedModule, v: StagedVector, target: int) -> StagedVector:
     weight-1 graph every regular coordinate lands exactly at the target
     stage; with larger weights a coordinate may drop past it. Sink
     coordinates freeze at the stage where they are created.
+
+    A max-heap holds every stage above the target, seeded with the input
+    stages and pushed when a write first creates one. Expanding stage s
+    writes only to stages below s, so no popped stage is written again and
+    popping the maximum expands the stages top-down, each exactly once; a
+    stage with no regular coordinate left is a no-op. The cost is one visit
+    per stage between the support top and the target. A stage left empty
+    is dropped once expanded, so memory follows the stages still live plus
+    the sink coordinates, not the depth.
     """
     if v.is_zero():
         return v
@@ -196,21 +206,25 @@ def pushdown(m: GradedModule, v: StagedVector, target: int) -> StagedVector:
             raise ValueError("stage %d: vector length %d does not match %d "
                              "vertices" % (stage, len(vec), n))
         work[stage] = list(vec)
-    while True:
-        pending = [s for s, vec in work.items()
-                   if s > target and any(c and m.regular[i]
-                                         for i, c in enumerate(vec))]
-        if not pending:
-            break
-        s = max(pending)
+    heap = [-s for s in work if s > target]
+    heapq.heapify(heap)
+    while heap:
+        s = -heapq.heappop(heap)
         vec = work[s]
         for i in range(n):
             c = vec[i]
             if c and m.regular[i]:
                 vec[i] = 0
                 for tgt, w in m._out[i]:
-                    row = work.setdefault(s - w, [0] * n)
+                    t = s - w
+                    row = work.get(t)
+                    if row is None:
+                        row = work[t] = [0] * n
+                        if t > target:
+                            heapq.heappush(heap, -t)
                     row[tgt] += c
+        if not any(vec):
+            del work[s]
     return StagedVector.build(work)
 
 
@@ -385,6 +399,8 @@ class DimensionTriple:
         return self._vanishes(tuple(x - y for x, y in zip(wa, wb)))
 
     def is_positive(self, a, cap: int) -> Verdict:
+        if cap < 0:
+            raise ValueError("cap must be nonnegative")
         vec, _ = a
         if self._vanishes(vec):
             return Verdict.ZERO

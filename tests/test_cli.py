@@ -54,6 +54,17 @@ class TestReports:
                        "--equals", "a(u,1)", "3 a(u,0)")
         assert doc["equal"] is False
 
+    @pytest.mark.parametrize("top, equal", [(100000, True), (99999, False)])
+    def test_h0gr_equals_deep_span(self, capsys, tmp_path, top, equal):
+        """On a weight-2 loop a(u,n) = a(u,n-2), so a pushdown across
+        100,000 stages decides a(u,0) = a(u,top) by the parity of top."""
+        loop = tmp_path / "loop2.json"
+        loop.write_text(json.dumps({"vertices": ["u"], "edges": [
+            {"id": "e", "src": "u", "dst": "u", "weight": 2}]}))
+        doc = run_json(capsys, "h0gr", str(loop), "--equals", "a(u,0)",
+                       "a(u,%d)" % top)
+        assert doc["equal"] is equal
+
     def test_h0gr_positive(self, capsys, data_dir):
         doc = run_json(capsys, "h0gr", path(data_dir, "graphF.json"),
                        "--positive", "a(u,0) - 2 a(u,-1)")

@@ -1,14 +1,16 @@
+from dataclasses import replace
 from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grhom.corpus import enumerate_multigraphs, random_graph
-from grhom.graded import (StagedVector, dimension_triple, equals,
-                          graded_module, is_positive, lambda_map,
+from grhom.graded import (StagedVector, _decision_depth, dimension_triple,
+                          equals, graded_module, is_positive, lambda_map,
                           parse_staged_expression, pushdown, sigma_map,
                           verify_exact_sequence, x_action)
-from grhom.graph import _looks_like_int, graph_from_dict
+from grhom.graph import _looks_like_int, graph_from_dict, graph_to_dict
 from grhom.homology import Verdict, h0
 from grhom.intlinalg import IntMatrix
 from linalg_helpers import in_column_span
@@ -139,6 +141,144 @@ class TestPushdown:
         assert deeper.to_mapping() == {-1: (1, 1), 0: (0, 1)}
 
 
+def reference_pushdown(m, v, target):
+    """``pushdown`` as it was before the stage heap: the body is kept
+    verbatim, rescanning every stage for the top pending one."""
+    if v.is_zero():
+        return v
+    if target > v.min_stage():
+        raise ValueError("target %d is above the support minimum %d"
+                         % (target, v.min_stage()))
+    n = m.nvertices
+    work: dict[int, list[int]] = {}
+    for stage, vec in v.stages:
+        if len(vec) != n:
+            raise ValueError("stage %d: vector length %d does not match %d "
+                             "vertices" % (stage, len(vec), n))
+        work[stage] = list(vec)
+    while True:
+        pending = [s for s, vec in work.items()
+                   if s > target and any(c and m.regular[i]
+                                         for i, c in enumerate(vec))]
+        if not pending:
+            break
+        s = max(pending)
+        vec = work[s]
+        for i in range(n):
+            c = vec[i]
+            if c and m.regular[i]:
+                vec[i] = 0
+                for tgt, w in m._out[i]:
+                    row = work.setdefault(s - w, [0] * n)
+                    row[tgt] += c
+    return StagedVector.build(work)
+
+
+class ExpansionLog:
+    """Stands in for ``GradedModule._out``: records the vertex of every
+    coordinate a pushdown expands, and fails past ``limit`` expansions, so
+    a pushdown that runs past its target fails instead of running on."""
+
+    def __init__(self, out, limit=None):
+        self.out, self.limit, self.reads = out, limit, []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        if self.limit is not None and len(self.reads) > self.limit:
+            raise AssertionError("more expansions than the reference made")
+        return self.out[i]
+
+
+def logged(m, limit=None):
+    copy = replace(m)
+    copy.__dict__["_out"] = log = ExpansionLog(m._out, limit)
+    return copy, log
+
+
+def assert_matches_reference(m, v, target):
+    """The same result as the reference, from the same expansions in the
+    same order."""
+    ref_m, ref_log = logged(m)
+    expected = reference_pushdown(ref_m, v, target)
+    new_m, new_log = logged(m, limit=len(ref_log.reads))
+    assert pushdown(new_m, v, target) == expected
+    assert new_log.reads == ref_log.reads
+    return expected
+
+
+@st.composite
+def weighted_graphs(draw, max_vertices=6, max_weight=5):
+    """1 to max_vertices vertices, each the source of 0-3 edges (so some
+    are sinks) with weights 1 to max_weight."""
+    n = draw(st.integers(1, max_vertices))
+    names = ["v%d" % i for i in range(n)]
+    edges = []
+    for i in range(n):
+        for _ in range(draw(st.integers(0, 3))):
+            edges.append({"id": "e%d" % len(edges), "src": names[i],
+                          "dst": names[draw(st.integers(0, n - 1))],
+                          "weight": draw(st.integers(1, max_weight))})
+    return graph_from_dict({"vertices": names, "edges": edges})
+
+
+def staged_elements(m, max_stages=10, stage_range=8):
+    """Elements spread over at most max_stages stages, entries -3..3."""
+    vec = st.lists(st.integers(-3, 3), min_size=m.nvertices,
+                   max_size=m.nvertices)
+    return st.dictionaries(st.integers(-stage_range, stage_range), vec,
+                           max_size=max_stages).map(StagedVector.build)
+
+
+def heavy_graph(rng, n, w):
+    """The benchmark's heavy-edge shape: a Hamiltonian cycle in random
+    vertex order plus n // 2 random edges, one edge of weight w."""
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 2)]
+    rng.shuffle(pairs)
+    heavy = rng.randrange(len(pairs))
+    return graph_from_dict({
+        "vertices": ["v%d" % i for i in range(n)],
+        "edges": [{"id": "e%d" % k, "src": "v%d" % i, "dst": "v%d" % j,
+                   "weight": w if k == heavy else 1}
+                  for k, (i, j) in enumerate(pairs)]})
+
+
+class TestPushdownMatchesReference:
+    """The heap-ordered pushdown against the rescanning one it replaced:
+    same stages expanded in the same order, so equal results."""
+
+    @settings(max_examples=200)
+    @given(weighted_graphs(), st.data())
+    def test_random_targets_and_positivity_chain(self, g, data):
+        m = graded_module(g)
+        v = data.draw(staged_elements(m))
+        if v.is_zero():
+            assert assert_matches_reference(m, v, 0) == v
+            return
+        base = v.min_stage()
+        depths = data.draw(st.lists(st.integers(0, 12), min_size=1,
+                                    max_size=3))
+        for k in depths + [_decision_depth(m)]:
+            assert_matches_reference(m, v, base - k)
+        # the chain of targets that is_positive walks
+        w = assert_matches_reference(m, v, base)
+        for k in range(1, data.draw(st.integers(1, 10)) + 1):
+            if w.is_zero():
+                break
+            w = assert_matches_reference(m, w, min(base - k, w.min_stage()))
+
+    @pytest.mark.parametrize("n, w", [(20, 32), (10, 64), (20, 16),
+                                      (10, 32)])
+    def test_heavy_shapes_at_decision_depth(self, n, w):
+        rng = Random(1000 * n + w)
+        m = graded_module(heavy_graph(rng, n, w))
+        v = random_staged(rng, m, max_terms=4, stage_range=2)
+        v = v + m.generator("v0", 2) - m.generator("v1", -2)
+        assert_matches_reference(m, v, v.min_stage() - _decision_depth(m))
+
+
 class TestEquality:
     def test_doubling_module(self, graph_f):
         m = graded_module(graph_f)
@@ -255,6 +395,107 @@ class TestWindowOracle:
         assert checked >= 20
 
 
+def subdivide(g):
+    """g with each weight-w edge replaced by a chain of w unit edges through
+    w - 1 fresh vertices, listed after g's own. Each fresh vertex is
+    regular with one out-edge, so a_v(n) -> a_v(n) is an isomorphism of the
+    graded modules, and the unit-weight bound on the new graph, its vertex
+    count n + sum(w_e - 1), decides equality."""
+    vertices = list(g.vertices)
+    edges = []
+    for e in g.edges:
+        src = e.src
+        for k in range(1, e.weight):
+            mid = "%s_%d" % (e.eid, k)
+            vertices.append(mid)
+            edges.append({"id": mid, "src": src, "dst": mid})
+            src = mid
+        edges.append({"id": e.eid, "src": src, "dst": e.dst})
+    return graph_from_dict({"vertices": vertices, "edges": edges})
+
+
+@st.composite
+def merging_chains(draw):
+    """A weighted graph with two chains of fresh vertices added, p0 -> p1
+    -> ... and q0 -> q1 -> ..., whose edges have the same weights and
+    whose last edges end at the same vertex of the graph. So a(p0, n) =
+    a(q0, n), but only a pushdown past both chains shows it."""
+    d = graph_to_dict(draw(weighted_graphs()))
+    end = draw(st.sampled_from(d["vertices"]))
+    weights = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    for side in "pq":
+        names = ["%s%d" % (side, k) for k in range(len(weights))] + [end]
+        d["vertices"] += names[:-1]
+        d["edges"] += [{"id": "%s_e%d" % (side, k), "src": names[k],
+                        "dst": names[k + 1], "weight": w}
+                       for k, w in enumerate(weights)]
+    return graph_from_dict(d)
+
+
+def lift(m, v):
+    """v with its vectors padded by zeros at m's extra vertices."""
+    return StagedVector(stages=tuple(
+        (s, vec + (0,) * (m.nvertices - len(vec))) for s, vec in v.stages))
+
+
+class TestDecisionDepth:
+    """``equals`` on weighted graphs with and without sinks against two
+    independent results: equality on the unit-weight subdivision, and a
+    pushdown three times the decision depth."""
+
+    @staticmethod
+    def check(m, a, b):
+        verdict = equals(m, a, b)
+        m2 = graded_module(subdivide(m.graph))
+        assert equals(m2, lift(m2, a), lift(m2, b)) is verdict
+        d = a - b
+        if not d.is_zero():
+            target = d.min_stage() - 3 * _decision_depth(m)
+            assert pushdown(m, d, target).is_zero() is verdict
+        return verdict
+
+    @settings(max_examples=150)
+    @given(weighted_graphs(), st.data())
+    def test_random_pairs(self, g, data):
+        m = graded_module(g)
+        elements = staged_elements(m, max_stages=4, stage_range=4)
+        self.check(m, data.draw(elements), data.draw(elements))
+
+    @settings(max_examples=150)
+    @given(weighted_graphs(), st.data())
+    def test_pairs_equal_by_relations(self, g, data):
+        m = graded_module(g)
+        a = data.draw(staged_elements(m, max_stages=4, stage_range=4))
+        regular = [v for i, v in enumerate(g.vertices) if m.regular[i]]
+        b = a
+        for vertex, stage, c in data.draw(st.lists(st.tuples(
+                st.sampled_from(regular or [None]), st.integers(-4, 4),
+                st.integers(-2, 2)), max_size=3)):
+            if vertex is not None:
+                b = b + c * m.relation(vertex, stage)
+        assert self.check(m, a, b) is True
+
+    @settings(max_examples=150)
+    @given(merging_chains(), st.integers(-3, 3), st.integers(0, 2))
+    def test_merging_chains(self, g, stage, offset):
+        m = graded_module(g)
+        verdict = self.check(m, m.generator("p0", stage),
+                             m.generator("q0", stage + offset))
+        assert verdict or offset
+
+    def test_unit_weight_stretch_exceeds_weighted_depth(self):
+        """Three loops of weight 5 at one vertex: the subdivision's bound
+        (13 stages) exceeds the weighted one (5 stages)."""
+        g = graph_from_dict({"vertices": ["u"], "edges": [
+            {"id": k, "src": "u", "dst": "u", "weight": 5}
+            for k in ("p", "q", "r")]})
+        m = graded_module(g)
+        assert _decision_depth(m) == 5
+        assert graded_module(subdivide(g)).nvertices == 13
+        assert self.check(m, m.generator("u", 5), m.generator("u", 0, 3))
+        assert not self.check(m, m.generator("u", 4), m.generator("u", 0, 3))
+
+
 class TestPositivity:
     def test_acceptance_shape(self, graph_f):
         m = graded_module(graph_f)
@@ -281,6 +522,12 @@ class TestPositivity:
         m = graded_module(graph_f)
         with pytest.raises(ValueError):
             is_positive(m, StagedVector.zero(), -1)
+
+    def test_triple_cap_validation(self, graph_f):
+        t = dimension_triple(graph_f)
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            t.is_positive(t.element((1,)), -1)
+        assert t.is_positive(t.element((1,)), 0) is Verdict.POSITIVE
 
     def test_no_flips_with_growing_cap(self):
         rng = Random(83)
