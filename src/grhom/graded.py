@@ -249,6 +249,7 @@ def is_positive(m: GradedModule, v: StagedVector, cap: int) -> Verdict:
     sound, and once sign-definite a deeper pushdown stays sign-definite, so
     verdicts never flip as cap grows.
     """
+    cap = _require_int(cap, "caps")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if v.is_zero() or equals(m, v, StagedVector.zero()):
@@ -399,6 +400,7 @@ class DimensionTriple:
         return self._vanishes(tuple(x - y for x, y in zip(wa, wb)))
 
     def is_positive(self, a, cap: int) -> Verdict:
+        cap = _require_int(cap, "caps")
         if cap < 0:
             raise ValueError("cap must be nonnegative")
         vec, _ = a

@@ -328,6 +328,7 @@ def enumerate_paths(g: Graph, max_len: int) -> list[Path]:
     Length-0 paths come first in vertex order; each longer level is sorted
     lexicographically by its edge-id sequence.
     """
+    max_len = _require_int(max_len, "path lengths")
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     out = [Path(source=v, edges=()) for v in g.vertices]

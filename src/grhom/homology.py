@@ -9,6 +9,13 @@ For sink-free graphs the relation matrix is I - A^T. The module computes the
 group in canonical form, canonical coordinates of classes, a sound bounded
 positivity test, and an independent brute-force presentation on truncated
 path generators used as an oracle for the vertex presentation.
+
+A graph's presentation is built once per ``Graph`` instance and carries
+its tracked Smith decomposition and its relation columns, each computed on
+first use, so every ``h0``, ``h0_class`` and ``h0_is_positive`` call on
+one graph shares them. ``h0`` reads the group from the sparse
+``cokernel``, not from that decomposition. The oracle writes its relations
+as sparse rows and never builds a dense matrix.
 """
 
 from __future__ import annotations
@@ -16,11 +23,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .graph import (Graph, Path, check_positive_weights, enumerate_paths,
+from .graph import (Graph, check_positive_weights, enumerate_paths,
                     path_range)
-from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, _left_kernel,
-                        cokernel, smith_normal_form)
+from .intlinalg import (FpAbelianGroup, IntMatrix, SmithDecomposition,
+                        _int_vector, _left_kernel, _require_int, cokernel,
+                        smith_normal_form, sparse_cokernel)
 
 
 class Verdict(Enum):
@@ -32,14 +41,38 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class H0Presentation:
-    """Vertex-indexed presentation: ambient Z^vertices modulo the columns."""
+    """Vertex-indexed presentation: ambient Z^vertices modulo the columns.
+
+    ``smith`` and ``columns`` are computed on first use and kept, so the
+    queries on one graph share them; like the fields, they are immutable.
+    """
 
     vertex_order: tuple[str, ...]
     regular_vertices: tuple[str, ...]
     relations: IntMatrix
 
+    @cached_property
+    def smith(self) -> SmithDecomposition:
+        """The tracked Smith decomposition of ``relations``."""
+        return smith_normal_form(self.relations)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The relation columns, one per regular vertex."""
+        return tuple(zip(*self.relations.rows))
+
 
 def h0_presentation(g: Graph) -> H0Presentation:
+    """The presentation of g, built once per ``Graph`` instance.
+
+    The first call checks the weights, builds the presentation and keeps
+    it in the graph's instance dict, beside the graph's own cached lookups;
+    later calls on that graph return the same object. A graph whose weights
+    fail the check keeps nothing, so every call raises.
+    """
+    pres = vars(g).get("_h0_presentation")
+    if pres is not None:
+        return pres
     check_positive_weights(g, "homology")
     n = len(g.vertices)
     regular = [v for v in g.vertices if g.out_edges(v)]
@@ -51,9 +84,11 @@ def h0_presentation(g: Graph) -> H0Presentation:
             col[g.vertex_index(e.dst)] -= 1
         cols.append(col)
     rows = tuple(tuple(col[i] for col in cols) for i in range(n))
-    return H0Presentation(vertex_order=g.vertices,
+    pres = H0Presentation(vertex_order=g.vertices,
                           regular_vertices=tuple(regular),
                           relations=IntMatrix(rows, len(regular)))
+    vars(g)["_h0_presentation"] = pres
+    return pres
 
 
 def h0(g: Graph) -> FpAbelianGroup:
@@ -63,21 +98,21 @@ def h0(g: Graph) -> FpAbelianGroup:
 def _class_coordinates(g: Graph, vec):
     """The prologue shared by ``h0_class`` and ``h0_is_positive``.
 
-    Builds the presentation, checks vec against it and takes the Smith
-    decomposition of the relation matrix. Returns the presentation, vec as
-    a tuple, the decomposition and the coordinates ``h0_class`` returns.
+    Checks vec against the presentation and reads its coordinates from the
+    presentation's Smith decomposition. Returns the presentation, vec as a
+    tuple and the coordinates ``h0_class`` returns.
     """
     pres = h0_presentation(g)
     vec = _int_vector(vec)
     if len(vec) != len(pres.vertex_order):
         raise ValueError("vector length %d does not match %d vertices"
                          % (len(vec), len(pres.vertex_order)))
-    dec = smith_normal_form(pres.relations)
+    dec = pres.smith
     factors = dec.factors + (0,) * (len(vec) - len(dec.factors))
     y = dec.u.apply(vec)
     free = tuple(yi for yi, d in zip(y, factors) if d == 0)
     residues = tuple(yi % d for yi, d in zip(y, factors) if d > 1)
-    return pres, vec, dec, free + residues
+    return pres, vec, free + residues
 
 
 def h0_class(g: Graph, vec) -> tuple[int, ...]:
@@ -103,14 +138,13 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
     vectors of the left kernel and their negations, taken from the Smith
     decomposition that gave the coordinates.
     """
+    cap = _require_int(cap, "caps")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    pres, vec, dec, coords = _class_coordinates(g, vec)
+    pres, vec, coords = _class_coordinates(g, vec)
     if not any(coords):
         return Verdict.POSITIVE
-    cols = [tuple(pres.relations.rows[i][j]
-                  for i in range(pres.relations.nrows))
-            for j in range(pres.relations.ncols)]
+    cols = pres.columns
 
     def bfs(start) -> bool:
         if all(x >= 0 for x in start):
@@ -136,7 +170,7 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
         return Verdict.POSITIVE
     if not bfs(tuple(-x for x in vec)):
         return Verdict.UNKNOWN
-    for row in _left_kernel(dec).rows:
+    for row in _left_kernel(pres.smith).rows:
         for cand in (row, tuple(-x for x in row)):
             if all(x >= 0 for x in cand) and \
                     sum(a * b for a, b in zip(cand, vec)) < 0:
@@ -151,27 +185,32 @@ def h0_bruteforce_oracle(g: Graph, max_len: int) -> FpAbelianGroup:
     projection of length below max_len with regular range expands one step,
     and every projection of positive length is identified with its range
     vertex. The result must agree with h0 for every max_len >= 1.
+
+    The relations are written as sparse rows, one per generator, and go
+    straight to ``sparse_cokernel``: nearly every entry of the relation
+    matrix is 0. Every entry written is +-1 and none is written twice,
+    because a column touches a path and its distinct one-edge extensions,
+    or a path of positive length and its range vertex.
     """
+    max_len = _require_int(max_len, "path lengths")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     check_positive_weights(g, "homology")
     paths = enumerate_paths(g, max_len)
-    index = {p: i for i, p in enumerate(paths)}
-    ranges = [path_range(g, p) for p in paths]
-    expands = [len(p.edges) < max_len and bool(g.out_edges(v))
-               for p, v in zip(paths, ranges)]
-    ncols = sum(expands) + sum(1 for p in paths if p.edges)
-    rows = [[0] * ncols for _ in paths]
+    index = {(p.source, p.edges): i for i, p in enumerate(paths)}
+    rows = {}
     j = 0
-    for i, (p, v) in enumerate(zip(paths, ranges)):
-        if expands[i]:
-            rows[i][j] += 1
-            for e in g.out_edges(v):
-                rows[index[Path(source=p.source if p.edges else v,
-                                edges=p.edges + (e.eid,))]][j] -= 1
+    for i, p in enumerate(paths):
+        v = path_range(g, p)
+        out = g.out_edges(v)
+        if len(p.edges) < max_len and out:
+            rows.setdefault(i, {})[j] = 1
+            for e in out:
+                child = index[p.source, p.edges + (e.eid,)]
+                rows.setdefault(child, {})[j] = -1
             j += 1
         if p.edges:
-            rows[index[Path(source=v, edges=())]][j] += 1
-            rows[i][j] -= 1
+            rows.setdefault(index[v, ()], {})[j] = 1
+            rows.setdefault(i, {})[j] = -1
             j += 1
-    return cokernel(IntMatrix(tuple(map(tuple, rows)), ncols))
+    return sparse_cokernel(rows, len(paths), j)

@@ -17,10 +17,14 @@ of the plain dense elimination. u fixes the coordinates that
 Every kernel is a left kernel read from u by ``_left_kernel`` as a
 canonical Hermite basis, which does not depend on the rule.
 ``invariant_factors`` (behind ``cokernel``) needs only the diagonal. It
-first eliminates +-1 pivots on a sparse copy in Markowitz order, each step
-unimodular, so SNF(A) = diag(1, ..., 1, SNF(A')), and then runs the same
-dense elimination on the small core A'. The Smith diagonal is unique, so
-both paths give the same factors.
+scans A into sparse rows and hands them to ``_sparse_factors``, which
+eliminates +-1 pivots in Markowitz order, each step unimodular, so
+SNF(A) = diag(1, ..., 1, SNF(A')), and then runs the same dense
+elimination on the small core A'. The Smith diagonal is unique, so both
+paths give the same factors. ``sparse_cokernel`` takes the sparse rows
+directly, for callers such as ``homology.h0_bruteforce_oracle`` that
+write their relations sparse; it and ``cokernel`` share the elimination
+and the step from factors to a group.
 """
 
 from __future__ import annotations
@@ -296,11 +300,25 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    """Diagonal of the Smith form of a, without the transforms.
+    """Diagonal of the Smith form of a, without the transforms: the nonzero
+    rows of a, scanned once, go to ``_sparse_factors``. The result equals
+    ``smith_normal_form(a).factors``."""
+    rows = {}
+    for i, row in enumerate(a.rows):
+        nz = {j: x for j, x in enumerate(row) if x}
+        if nz:
+            rows[i] = nz
+    return _sparse_factors(rows, a.nrows, a.ncols)
+
+
+def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
+    """Smith diagonal of the nrows x ncols matrix a whose nonzero entries
+    are ``rows``: row index -> {column: entry}, zero entries and rows
+    without any left out. The dicts are consumed.
 
     Sparse unit-pivot elimination first, dense Smith on what is left. The
-    nonzeros are kept as row dicts with a column -> rows index. While some
-    entry a[i][j] is a unit u = +-1, take one of least Markowitz cost
+    rows are indexed by a column -> rows map. While some entry a[i][j] is
+    a unit u = +-1, take one of least Markowitz cost
     (r - 1)(c - 1), r and c counting the nonzeros of its row and column,
     and subtract u * a[k][j] times row i from every other row k; column j
     is then zero outside row i. Column operations with the unit would
@@ -333,14 +351,10 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     ``smith_normal_form`` keeps the dense pivot rule, because its u fixes
     the coordinates of ``homology.h0_class``.
     """
-    rows = {}
     cols = {}
-    for i, row in enumerate(a.rows):
-        nz = {j: x for j, x in enumerate(row) if x}
-        if nz:
-            rows[i] = nz
-            for j in nz:
-                cols.setdefault(j, set()).add(i)
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
     heap = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
             for i, row in rows.items() for j, x in row.items()
             if x == 1 or x == -1]
@@ -423,14 +437,25 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
         core = IntMatrix(tuple(tuple(row.get(j, 0) for j in core_cols)
                                for row in rows.values()), len(core_cols))
         factors += tuple(d for d in _diagonalize(core, track=False)[2] if d)
-    return factors + (0,) * (min(a.nrows, a.ncols) - len(factors))
+    return factors + (0,) * (min(nrows, ncols) - len(factors))
 
 
 def cokernel(a: IntMatrix) -> FpAbelianGroup:
     """Z^nrows modulo the column span of a, in canonical form."""
-    factors = invariant_factors(a)
+    return _group(a.nrows, invariant_factors(a))
+
+
+def sparse_cokernel(rows, nrows, ncols) -> FpAbelianGroup:
+    """``cokernel`` of the nrows x ncols matrix given by its nonzero rows,
+    as ``_sparse_factors`` takes them, with no dense copy. The dicts are
+    consumed."""
+    return _group(nrows, _sparse_factors(rows, nrows, ncols))
+
+
+def _group(nrows, factors) -> FpAbelianGroup:
+    """Z^nrows modulo a relation matrix with Smith diagonal ``factors``."""
     nonzero = [d for d in factors if d]
-    return FpAbelianGroup(rank=a.nrows - len(nonzero),
+    return FpAbelianGroup(rank=nrows - len(nonzero),
                           torsion=tuple(d for d in nonzero if d > 1))
 
 

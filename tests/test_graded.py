@@ -529,6 +529,26 @@ class TestPositivity:
             t.is_positive(t.element((1,)), -1)
         assert t.is_positive(t.element((1,)), 0) is Verdict.POSITIVE
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+    def test_non_int_cap_rejected(self, graph_f, bad):
+        m = graded_module(graph_f)
+        v = m.generator("u", 0) - m.generator("u", -1)
+        with pytest.raises(ValueError, match="caps must be ints"):
+            is_positive(m, v, bad)
+        t = dimension_triple(graph_f)
+        with pytest.raises(ValueError, match="caps must be ints"):
+            t.is_positive(t.element((1,)), bad)
+
+    def test_int_subclass_cap_accepted(self, graph_f):
+        class Tagged(int):
+            pass
+
+        m = graded_module(graph_f)
+        v = m.generator("u", 0) - m.generator("u", -1)
+        assert is_positive(m, v, Tagged(2)) is Verdict.POSITIVE
+        t = dimension_triple(graph_f)
+        assert t.is_positive(t.element((1,)), Tagged(0)) is Verdict.POSITIVE
+
     def test_no_flips_with_growing_cap(self):
         rng = Random(83)
         for _ in range(30):

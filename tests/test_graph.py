@@ -211,6 +211,18 @@ class TestPaths:
         with pytest.raises(ValueError):
             enumerate_paths(graph_e, -1)
 
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5, "1"])
+    def test_non_int_max_len_rejected(self, graph_e, bad):
+        with pytest.raises(ValueError, match="path lengths must be ints"):
+            enumerate_paths(graph_e, bad)
+
+    def test_int_subclass_max_len_accepted(self, graph_e):
+        class Tagged(int):
+            pass
+
+        assert (enumerate_paths(graph_e, Tagged(2))
+                == enumerate_paths(graph_e, 2))
+
     def test_counts_match_adjacency_powers(self):
         for i, g in enumerate(enumerate_multigraphs(3, 3)):
             if i % 17:

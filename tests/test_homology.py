@@ -1,14 +1,19 @@
+import dataclasses
 import hashlib
 from collections import Counter, deque
 from random import Random
 
 import pytest
 
+from grhom import homology
 from grhom.corpus import enumerate_multigraphs, random_graph
-from grhom.graph import adjacency, classify_vertices, VertexClass
+from grhom.graph import (Path, adjacency, check_positive_weights,
+                         classify_vertices, enumerate_paths, graph_from_dict,
+                         graph_to_dict, path_range, VertexClass)
 from grhom.homology import (Verdict, h0, h0_bruteforce_oracle, h0_class,
                             h0_is_positive, h0_presentation)
-from grhom.intlinalg import FpAbelianGroup, IntMatrix, _int_vector, cokernel
+from grhom.intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, cokernel,
+                             sparse_cokernel)
 from linalg_helpers import in_column_span
 from test_intlinalg import reference_kernel_basis
 
@@ -188,6 +193,18 @@ class TestPositivity:
     def test_zero_class_positive(self, graph_f):
         assert h0_is_positive(graph_f, (-1,), 0) is Verdict.POSITIVE
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+    def test_non_int_cap_rejected(self, graph_e, bad):
+        with pytest.raises(ValueError, match="caps must be ints"):
+            h0_is_positive(graph_e, (1, -1), bad)
+
+    def test_int_subclass_cap_accepted(self, single_sink):
+        class Tagged(int):
+            pass
+
+        assert h0_is_positive(single_sink, (-1,), Tagged(3)) \
+            is Verdict.NEGATIVE
+
     def test_sink_negative(self, single_sink):
         for cap in (0, 1, 10):
             assert h0_is_positive(single_sink, (-1,), cap) is Verdict.NEGATIVE
@@ -250,6 +267,17 @@ class TestOracle:
         with pytest.raises(ValueError):
             h0_bruteforce_oracle(graph_f, 0)
 
+    @pytest.mark.parametrize("bad", [True, 2.0, 2.5, "2"])
+    def test_non_int_max_len_rejected(self, graph_f, bad):
+        with pytest.raises(ValueError, match="path lengths must be ints"):
+            h0_bruteforce_oracle(graph_f, bad)
+
+    def test_int_subclass_max_len_accepted(self, graph_e):
+        class Tagged(int):
+            pass
+
+        assert h0_bruteforce_oracle(graph_e, Tagged(2)) == h0(graph_e)
+
     def test_matches_h0_on_sampled_corpus(self):
         for i, g in enumerate(enumerate_multigraphs(3, 4)):
             if i % 13:
@@ -265,3 +293,190 @@ class TestOracle:
             expected = h0(g)
             for max_len in (1, 2):
                 assert h0_bruteforce_oracle(g, max_len) == expected
+
+
+def reference_oracle_relations(g, max_len):
+    """The relation matrix of ``h0_bruteforce_oracle`` as the dense builder
+    wrote it before the oracle went sparse: the body is kept verbatim,
+    except that it returns the matrix instead of its cokernel."""
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    check_positive_weights(g, "homology")
+    paths = enumerate_paths(g, max_len)
+    index = {p: i for i, p in enumerate(paths)}
+    ranges = [path_range(g, p) for p in paths]
+    expands = [len(p.edges) < max_len and bool(g.out_edges(v))
+               for p, v in zip(paths, ranges)]
+    ncols = sum(expands) + sum(1 for p in paths if p.edges)
+    rows = [[0] * ncols for _ in paths]
+    j = 0
+    for i, (p, v) in enumerate(zip(paths, ranges)):
+        if expands[i]:
+            rows[i][j] += 1
+            for e in g.out_edges(v):
+                rows[index[Path(source=p.source if p.edges else v,
+                                edges=p.edges + (e.eid,))]][j] -= 1
+            j += 1
+        if p.edges:
+            rows[index[Path(source=v, edges=())]][j] += 1
+            rows[i][j] -= 1
+            j += 1
+    return IntMatrix(tuple(map(tuple, rows)), ncols)
+
+
+def dense_graph(rng, nv):
+    """A graph shaped like the benchmark's dense survey graphs: nv vertices
+    and 7-12 random edges, so some vertices may be sinks."""
+    names = ["v%d" % i for i in range(nv)]
+    return graph_from_dict({
+        "vertices": names,
+        "edges": [{"id": "e%d" % k, "src": names[rng.randrange(nv)],
+                   "dst": names[rng.randrange(nv)]}
+                  for k in range(rng.randint(7, 12))]})
+
+
+class TestOracleMatchesReference:
+    """The sparse rows the oracle hands to ``sparse_cokernel`` are the
+    nonzeros of the dense relation matrix it used to build."""
+
+    @pytest.fixture
+    def oracle_rows(self, monkeypatch):
+        seen = []
+
+        def capture(rows, nrows, ncols):
+            seen.append(({i: dict(row) for i, row in rows.items()},
+                         nrows, ncols))
+            return sparse_cokernel(rows, nrows, ncols)
+
+        monkeypatch.setattr(homology, "sparse_cokernel", capture)
+
+        def run(g, max_len):
+            seen.clear()
+            group = h0_bruteforce_oracle(g, max_len)
+            (captured,) = seen
+            return group, captured
+        return run
+
+    def check(self, oracle_rows, g, max_len):
+        group, (rows, nrows, ncols) = oracle_rows(g, max_len)
+        ref = reference_oracle_relations(g, max_len)
+        assert (nrows, ncols) == ref.shape
+        assert rows == {i: {j: x for j, x in enumerate(row) if x}
+                        for i, row in enumerate(ref.rows) if any(row)}
+        return group, ref
+
+    def test_corpus(self, oracle_rows):
+        count = 0
+        for g in enumerate_multigraphs(3, 4):
+            for max_len in (1, 2, 3):
+                self.check(oracle_rows, g, max_len)
+                count += 1
+        assert count == 3 * 790
+
+    def test_random_graphs_with_sinks(self, oracle_rows, seeded_graph):
+        sinks = 0
+        for seed in range(40):
+            g = seeded_graph(300 + seed, 3 + seed % 4, sinks=True)
+            sinks += any(not g.out_edges(v) for v in g.vertices)
+            group, ref = self.check(oracle_rows, g, 4)
+            assert group == cokernel(ref) == h0(g)
+        assert sinks > 10
+
+    def test_dense_bench_shapes(self, oracle_rows):
+        rng = Random(53)
+        for nv in (4, 5) * 6:
+            g = dense_graph(rng, nv)
+            group, ref = self.check(oracle_rows, g, 4)
+            assert group == cokernel(ref) == h0(g)
+
+
+class TestPresentationMemo:
+    """One presentation and one tracked Smith form per graph object."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = Counter()
+        build, smith = homology.H0Presentation, homology.smith_normal_form
+
+        def counted_build(**kwargs):
+            counts["presentation"] += 1
+            return build(**kwargs)
+
+        def counted_smith(a):
+            counts["smith"] += 1
+            return smith(a)
+
+        monkeypatch.setattr(homology, "H0Presentation", counted_build)
+        monkeypatch.setattr(homology, "smith_normal_form", counted_smith)
+        return counts
+
+    def queries(self, g, vecs):
+        return (h0(g), [h0_class(g, v) for v in vecs],
+                [h0_is_positive(g, v, cap) for v in vecs for cap in (0, 5)])
+
+    def test_one_build_per_graph(self, builds, seeded_graph):
+        rng = Random(59)
+        for seed, n, sinks in ((1, 6, False), (2, 8, True), (3, 20, True)):
+            g = seeded_graph(seed, n, sinks)
+            vecs = [tuple(rng.randint(-3, 3) for _ in range(n))
+                    for _ in range(4)]
+            builds.clear()
+            first = self.queries(g, vecs)
+            assert builds == {"presentation": 1, "smith": 1}
+            assert self.queries(g, vecs) == first
+            assert h0_presentation(g) is h0_presentation(g)
+            assert builds == {"presentation": 1, "smith": 1}
+            fresh = [graph_from_dict(graph_to_dict(g)) for _ in range(3)]
+            assert h0(fresh[0]) == first[0]
+            assert [h0_class(fresh[1], v) for v in vecs] == first[1]
+            assert [h0_is_positive(fresh[2], v, cap)
+                    for v in vecs for cap in (0, 5)] == first[2]
+
+    def test_memo_agrees_on_corpus(self):
+        """Repeated queries on one graph answer as single queries on
+        fresh, equal graphs, Negative verdicts included."""
+        rng = Random(61)
+        verdicts = Counter()
+        for g in enumerate_multigraphs(2, 3):
+            n = len(g.vertices)
+            vecs = [tuple(rng.randint(-3, 3) for _ in range(n))
+                    for _ in range(3)]
+            shared = self.queries(g, vecs)
+            doc = graph_to_dict(g)
+            assert h0(graph_from_dict(doc)) == shared[0]
+            assert [h0_class(graph_from_dict(doc), v)
+                    for v in vecs] == shared[1]
+            single = [h0_is_positive(graph_from_dict(doc), v, cap)
+                      for v in vecs for cap in (0, 5)]
+            assert single == shared[2]
+            verdicts.update(single)
+        assert verdicts[Verdict.NEGATIVE] > 0
+
+    def test_bad_weights_raise_every_call(self, builds):
+        g = graph_from_dict({"vertices": ["u"], "edges": [
+            {"id": "e", "src": "u", "dst": "u", "weight": 0}]})
+        for _ in range(3):
+            for query in (h0_presentation, h0, lambda g: h0_class(g, (1,)),
+                          lambda g: h0_is_positive(g, (1,), 2),
+                          lambda g: h0_bruteforce_oracle(g, 1)):
+                with pytest.raises(ValueError, match="weight"):
+                    query(g)
+        assert builds == {}
+
+    def test_cached_attributes_immutable(self, graph_e):
+        pres = h0_presentation(graph_e)
+        assert pres.columns == ((0, -1), (-1, 1))
+        assert all(type(col) is tuple for col in pres.columns)
+        assert type(pres.columns) is tuple
+        for name in ("columns", "smith", "relations"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pres, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(pres, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pres.smith.u = None
+        assert h0_presentation(graph_e).columns == ((0, -1), (-1, 1))
+        assert h0_presentation(graph_e).smith is pres.smith
+
+    def test_sink_columns(self, single_sink):
+        assert h0_presentation(single_sink).columns == ()

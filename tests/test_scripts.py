@@ -1,5 +1,9 @@
 """Smoke runs of the experiment scripts on tiny corpora, and of the
-benchmark's compare, survey and queries workloads."""
+benchmark's compare, survey and queries workloads.
+
+Each bench run also pins the seed-1 ``output_digest``, a hash of every
+op's output over the workload's pool, so a change that moves any output
+fails here."""
 
 import json
 import os
@@ -8,6 +12,16 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# seed-1 output digests of the bench workloads
+DIGESTS = {
+    "compare":
+        "a99ae4522021860c4f7feabf117d4f3b6320df2241f91563faf0f60b702e0ac2",
+    "survey":
+        "470d53bc7f933e5e7a02559ccff7990e4e595b9858bdadde62887e13ee7fa116",
+    "queries":
+        "62610b1512e27a3013f2d79bf77bee7457d07500db1ffa8714494e68871a9c87",
+}
 
 
 def run_script(name, *args):
@@ -52,6 +66,8 @@ def test_bench_compare_checks_pass():
     result = json.loads(res.stdout.splitlines()[-1])
     assert result["correct"] is True, res.stdout
     assert result["failed"] == 0
+    assert "output_digest: " + DIGESTS["compare"] in res.stdout.splitlines(), \
+        res.stdout
 
 
 def test_bench_survey_checks_pass():
@@ -66,6 +82,8 @@ def test_bench_survey_checks_pass():
     result = json.loads(res.stdout.splitlines()[-1])
     assert result["correct"] is True, res.stdout
     assert result["failed"] == 0
+    assert "output_digest: " + DIGESTS["survey"] in res.stdout.splitlines(), \
+        res.stdout
 
 
 def test_bench_queries_checks_pass():
@@ -80,3 +98,5 @@ def test_bench_queries_checks_pass():
     result = json.loads(res.stdout.splitlines()[-1])
     assert result["correct"] is True, res.stdout
     assert result["failed"] == 0
+    assert "output_digest: " + DIGESTS["queries"] in res.stdout.splitlines(), \
+        res.stdout
