@@ -21,7 +21,6 @@ from .graded import (StagedVector, dimension_triple, equals, graded_module,
 from .graph import (GraphFormatError, covering_graph, enumerate_paths,
                     load_graph)
 from .homology import h0, h0_bruteforce_oracle, h0_presentation
-from .intlinalg import cokernel
 
 _CONVENTIONS = {
     "x_orientation": "x shifts stages up: x*a_v(n) = a_v(n+1)",
@@ -60,7 +59,7 @@ def _base_report(graph) -> dict:
 def _cmd_h0(args) -> dict:
     g = load_graph(args.file)
     pres = h0_presentation(g)
-    group = cokernel(pres.relations)
+    group = h0(g)
     report = _base_report(g)
     report.update({
         "relation_matrix": pres.relations.to_decimal_rows(),

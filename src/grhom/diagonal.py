@@ -98,9 +98,6 @@ class DiagonalElement:
         """Terms in canonical order: by length, edge sequence, then anchor."""
         return sorted(self.terms.items(), key=lambda kv: _term_key(kv[0]))
 
-    def coeff(self, path: Path) -> int:
-        return self.terms.get(path, 0)
-
     def is_zero(self):
         return not self.terms
 

@@ -5,26 +5,28 @@ normal form with its unimodular row transform, Hermite-reduced kernel bases,
 eventual kernels of square matrices, and finitely generated abelian groups
 presented as cokernels.
 
-There are two Smith paths. ``smith_normal_form`` tracks the row transform
-u, never the column one, and runs a dense pivot rule: the smallest nonzero
-|pivot| with a row-major tie-break, a nonnegative diagonal, and the
-divisibility chain d1 | d2 | ... enforced, so u and s are deterministic
-for a fixed input. Its updates are sparse-aware: a row or column operation
-touches only the nonzeros of the pivot line, and a unit pivot skips the
-divisibility scan. The skipped steps change no entry, so u and s are those
-of the plain dense elimination. u fixes the coordinates that
-``homology.h0_class`` returns, so the pivot rule is part of that output.
-Every kernel is a left kernel read from u by ``_left_kernel`` as a
-canonical Hermite basis, which does not depend on the rule.
-``invariant_factors`` (behind ``cokernel``) needs only the diagonal. It
-scans A into sparse rows and hands them to ``_sparse_factors``, which
-eliminates +-1 pivots in Markowitz order, each step unimodular, so
-SNF(A) = diag(1, ..., 1, SNF(A')), and then runs the same dense
-elimination on the small core A'. The Smith diagonal is unique, so both
-paths give the same factors. ``sparse_cokernel`` takes the sparse rows
-directly, for callers such as ``homology.h0_bruteforce_oracle`` that
-write their relations sparse; it and ``cokernel`` share the elimination
-and the step from factors to a group.
+There is one dense Smith elimination, ``_diagonalize``, and two ways in.
+``smith_normal_form`` runs it on the whole matrix. It tracks the row
+transform u, never the column one, and runs a dense pivot rule: the
+smallest nonzero |pivot| with a row-major tie-break, a nonnegative
+diagonal, and the divisibility chain d1 | d2 | ... enforced, so u and the
+factors are deterministic for a fixed input. Its updates are sparse-aware:
+a row or column operation touches only the nonzeros of the pivot line, and
+a unit pivot skips the divisibility scan. The skipped steps change no
+entry, so u and the factors are those of the plain dense elimination. u
+fixes the coordinates that ``homology.h0_class`` returns, so the pivot
+rule is part of that output. Every kernel is a left kernel read from u by
+``_left_kernel`` as a canonical Hermite basis, which does not depend on
+the rule. ``invariant_factors`` (behind ``cokernel``) needs only the
+diagonal. It scans A into sparse rows and hands them to
+``_sparse_factors``, which eliminates +-1 pivots in Markowitz order, each
+step unimodular, so SNF(A) = diag(1, ..., 1, SNF(A')), and then runs
+``_diagonalize`` on the small core A', whose u it drops. The Smith
+diagonal is unique, so both ways in give the same factors.
+``sparse_cokernel`` takes the sparse rows directly, for callers such as
+``homology.h0_bruteforce_oracle`` that write their relations sparse; it
+and ``cokernel`` share the elimination and the step from factors to a
+group.
 """
 
 from __future__ import annotations
@@ -140,15 +142,14 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """s diagonal and u unimodular with u @ a @ v == s for some unimodular
-    v, which is not kept.
+    """u unimodular with u @ a @ v == diag(factors) for some unimodular v;
+    neither v nor the diagonal matrix is kept.
 
-    ``factors`` is the full diagonal of s (length min(nrows, ncols)): the
+    ``factors`` is the full Smith diagonal (length min(nrows, ncols)): the
     divisibility chain d1 | d2 | ... | dk followed by zeros, all nonnegative.
     """
 
     u: IntMatrix
-    s: IntMatrix
     factors: tuple[int, ...]
 
 
@@ -169,9 +170,6 @@ class FpAbelianGroup:
                 raise ValueError("torsion factors must exceed 1, got %d" % d)
             if i and self.torsion[i] % self.torsion[i - 1] != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
-
-    def is_trivial(self):
-        return self.rank == 0 and not self.torsion
 
     def describe(self):
         parts = []
@@ -203,16 +201,17 @@ def _find_pivot(s, t, m, n):
     return None if best is None else (bi, bj)
 
 
-def _diagonalize(a: IntMatrix, track: bool):
-    """Shared Smith elimination; returns (diag rows, u rows, factors).
+def _diagonalize(a: IntMatrix):
+    """The dense Smith elimination; returns (u rows, factors).
 
     Each entry gets the arithmetic of the plain dense elimination, in the
     same order; only updates by zero and the scan under a unit pivot are
-    skipped (see the module docstring).
+    skipped (see the module docstring). The column operations act on the
+    working copy of a alone, so the column transform is never built.
     """
     m, n = a.nrows, a.ncols
     s = [list(row) for row in a.rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
 
     def nonzeros(line):
         return [(k, x) for k, x in enumerate(line) if x]
@@ -227,27 +226,25 @@ def _diagonalize(a: IntMatrix, track: bool):
             pi, pj = piv
             if pi != t:
                 s[t], s[pi] = s[pi], s[t]
-                if track:
-                    u[t], u[pi] = u[pi], u[t]
+                u[t], u[pi] = u[pi], u[t]
             if pj != t:
                 for row in s:
                     row[t], row[pj] = row[pj], row[t]
             if s[t][t] < 0:
                 s[t] = [-x for x in s[t]]
-                if track:
-                    u[t] = [-x for x in u[t]]
+                u[t] = [-x for x in u[t]]
             p = s[t][t]
             dirty = False
             # row i += q * row t; row t is fixed inside this pass
             srow = nonzeros(s[t])
-            urow = nonzeros(u[t]) if track else ()
+            urow = nonzeros(u[t])
             for i in range(m):
                 if i != t and s[i][t]:
                     q = -(s[i][t] // p)
                     si = s[i]
                     for j, x in srow:
                         si[j] += q * x
-                    ui = u[i] if track else None
+                    ui = u[i]
                     for j, x in urow:
                         ui[j] += q * x
                     if si[t]:
@@ -280,23 +277,19 @@ def _diagonalize(a: IntMatrix, track: bool):
                     break
         if offender is not None:
             # row t += row offender
-            for rows in (s, u) if track else (s,):
+            for rows in (s, u):
                 rows[t] = [x + y for x, y in zip(rows[t], rows[offender])]
             continue
         t += 1
-    factors = tuple(s[i][i] for i in range(limit))
-    return s, u, factors
+    return u, tuple(s[i][i] for i in range(limit))
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith form s of a and the row transform u, with deterministic
-    pivoting; u @ a @ v == s for a unimodular v that is not kept."""
-    s, u, factors = _diagonalize(a, track=True)
-    return SmithDecomposition(
-        u=IntMatrix(tuple(map(tuple, u)), a.nrows),
-        s=IntMatrix(tuple(map(tuple, s)), a.ncols),
-        factors=factors,
-    )
+    """The Smith diagonal of a and its row transform u, with deterministic
+    pivoting; u @ a @ v is diagonal for a unimodular v that is not kept."""
+    u, factors = _diagonalize(a)
+    return SmithDecomposition(u=IntMatrix(tuple(map(tuple, u)), a.nrows),
+                              factors=factors)
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
@@ -326,8 +319,9 @@ def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
     column j are dropped and a factor 1 is counted. Every step is an
     elementary unimodular operation, so after k unit pivots
     A ~ diag(I_k, A') and SNF(A) = diag(1, ..., 1, SNF(A')), the 1s
-    leading because 1 divides every factor. The core A' goes to the dense
-    elimination without its zero rows and columns; it is small on the
+    leading because 1 divides every factor. The core A' goes to
+    ``_diagonalize`` without its zero rows and columns, and only the
+    factors of that call are kept; the core is small on the
     relation matrices of ``homology``, which have a unit in nearly every
     column. The Smith diagonal is unique, so the pivot order affects speed
     only, never the result, which equals ``smith_normal_form(a).factors``:
@@ -436,7 +430,7 @@ def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
         core_cols = sorted(cols)
         core = IntMatrix(tuple(tuple(row.get(j, 0) for j in core_cols)
                                for row in rows.values()), len(core_cols))
-        factors += tuple(d for d in _diagonalize(core, track=False)[2] if d)
+        factors += tuple(d for d in _diagonalize(core)[1] if d)
     return factors + (0,) * (min(nrows, ncols) - len(factors))
 
 

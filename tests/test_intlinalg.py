@@ -328,15 +328,15 @@ class TestSmithNormalForm:
     @given(small_matrix())
     def test_uav_equals_s(self, a):
         """u @ a @ v == s for some unimodular v, which is what
-        ``h0_class`` relies on: u is unimodular, s is diagonal, and u @ a
-        has the column lattice of s."""
+        ``h0_class`` relies on: u is unimodular and u @ a has the column
+        lattice of s, the diagonal matrix of the factors in the shape of
+        a."""
         dec = smith_normal_form(a)
-        s = dec.s
+        assert len(dec.factors) == min(a.nrows, a.ncols)
+        s = IntMatrix(tuple(
+            tuple(dec.factors[i] if i == j else 0 for j in range(a.ncols))
+            for i in range(a.nrows)), a.ncols)
         assert det(dec.u) in (1, -1)
-        for i in range(s.nrows):
-            for j in range(s.ncols):
-                if i != j:
-                    assert s.entry(i, j) == 0
         assert (hermite_row_basis((dec.u @ a).transpose().rows, a.nrows)
                 == hermite_row_basis(s.transpose().rows, a.nrows))
 
@@ -347,14 +347,16 @@ class TestSmithNormalForm:
 
 class TestDiagonalizeMatchesReference:
     """The sparse-aware _diagonalize against the plain dense elimination:
-    same s, u and factors, with and without the row transform. The
-    reference also tracks v, which _diagonalize does not build."""
+    same u and factors. The reference also builds the diagonal and v,
+    which _diagonalize does not return. The sparse invariant_factors is
+    held to the reference's factors as well, so its unit pivots and
+    non-unit core face an independent elimination."""
 
     @staticmethod
     def check(a):
-        for track in (True, False):
-            s, u, _, factors = reference_diagonalize(a, track)
-            assert _diagonalize(a, track) == (s, u, factors)
+        _, u, _, factors = reference_diagonalize(a, True)
+        assert _diagonalize(a) == (u, factors)
+        assert invariant_factors(a) == factors
 
     @given(small_matrix())
     def test_small(self, a):
@@ -376,9 +378,8 @@ class TestDiagonalizeMatchesReference:
 
     def test_smith_normal_form_wraps_the_rows(self, seeded_graph):
         a = homology.h0_presentation(seeded_graph(7, 30, True)).relations
-        s, u, _, factors = reference_diagonalize(a, True)
+        _, u, _, factors = reference_diagonalize(a, True)
         dec = smith_normal_form(a)
-        assert dec.s == IntMatrix.from_rows(s, a.ncols)
         assert dec.u == IntMatrix.from_rows(u, a.nrows)
         assert dec.factors == factors
 

@@ -3,13 +3,19 @@ benchmark's compare, survey and queries workloads.
 
 Each bench run also pins the seed-1 ``output_digest``, a hash of every
 op's output over the workload's pool, so a change that moves any output
-fails here."""
+fails here. Every bench test runs untraced and traced (``--trace 1``). The
+traced run wraps every public function of the package, and it checks on
+its own that the traced passes give the untraced digest and that every
+layer the workload needs records calls; a failed check makes
+``correct`` false."""
 
 import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -55,12 +61,13 @@ def test_eventual_conjugacy_demo():
     assert sum(counts) == 10
 
 
-def test_bench_compare_checks_pass():
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_bench_compare_checks_pass(trace):
     """One short pass of the compare benchmark: every certificate found
     must verify and every verdict must be the one its pair was built for."""
     res = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
-         "compare", "--seed", "1", "--seconds", "1", "--trace", "0"],
+         "compare", "--seed", "1", "--seconds", "1", "--trace", trace],
         capture_output=True, text=True, cwd=ROOT, timeout=300)
     assert res.returncode == 0, res.stderr
     result = json.loads(res.stdout.splitlines()[-1])
@@ -70,13 +77,14 @@ def test_bench_compare_checks_pass():
         res.stdout
 
 
-def test_bench_survey_checks_pass():
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_bench_survey_checks_pass(trace):
     """One short pass of the survey benchmark, the only workload that calls
     h0_class and h0_is_positive: the oracle must match h0 and every
     nonnegative vector must test Positive."""
     res = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
-         "survey", "--seed", "1", "--seconds", "1", "--trace", "0"],
+         "survey", "--seed", "1", "--seconds", "1", "--trace", trace],
         capture_output=True, text=True, cwd=ROOT, timeout=300)
     assert res.returncode == 0, res.stderr
     result = json.loads(res.stdout.splitlines()[-1])
@@ -86,13 +94,14 @@ def test_bench_survey_checks_pass():
         res.stdout
 
 
-def test_bench_queries_checks_pass():
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_bench_queries_checks_pass(trace):
     """One short pass of the queries benchmark, the only workload that
     checks equals against DimensionTriple.equal (through eventual_kernel)
     and re-runs CLI output byte for byte."""
     res = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
-         "queries", "--seed", "1", "--seconds", "1", "--trace", "0"],
+         "queries", "--seed", "1", "--seconds", "1", "--trace", trace],
         capture_output=True, text=True, cwd=ROOT, timeout=300)
     assert res.returncode == 0, res.stderr
     result = json.loads(res.stdout.splitlines()[-1])
