@@ -10,6 +10,7 @@ any input error with a JSON error object instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -215,7 +216,12 @@ def _cmd_triple(args) -> dict:
     return report
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process. Reuse is safe: ``_Parser.error``
+    raises instead of keeping state, and every option either has a fixed
+    default or, like the appended ``--special``, defaults to None, so
+    ``parse_args`` starts each call from a fresh namespace."""
     parser = _Parser(prog="grhom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

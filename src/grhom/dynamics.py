@@ -18,10 +18,12 @@ a proof of inequivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .graph import Graph, adjacency, check_unit_sink_free
 from .homology import h0
-from .intlinalg import FpAbelianGroup, IntMatrix, kernel_basis, mat_pow
+from .intlinalg import (FpAbelianGroup, IntMatrix, _require_int, kernel_basis,
+                        mat_pow)
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class SearchBudget:
     entry_bound: int
 
     def __post_init__(self):
+        _require_int(self.max_lag, "lags")
+        _require_int(self.entry_bound, "entry bounds")
         if self.max_lag < 1:
             raise ValueError("max_lag must be at least 1")
         if self.entry_bound < 0:
@@ -159,6 +163,8 @@ def search_shift_equivalence(a: IntMatrix, b: IntMatrix, max_lag: int,
     """
     _require_square(a, "A")
     _require_square(b, "B")
+    max_lag = _require_int(max_lag, "lags")
+    entry_bound = _require_int(entry_bound, "entry bounds")
     if max_lag < 1:
         raise ValueError("max_lag must be at least 1")
     if entry_bound < 0:
@@ -177,22 +183,46 @@ def search_shift_equivalence(a: IntMatrix, b: IntMatrix, max_lag: int,
 
 def characteristic_polynomial(a: IntMatrix) -> tuple[int, ...]:
     """Monic characteristic polynomial det(tI - A), coefficients by
-    descending degree, computed division-free over the integers except for
-    the exact trace divisions of the Faddeev-LeVerrier recurrence."""
+    descending degree, by the Faddeev-LeVerrier recurrence over the integers.
+
+    Write det(tI - A) = t^n + c_1 t^(n-1) + ... + c_n and let M_0 = I,
+    M_k = A M_(k-1) + c_k I. Then A M_(k-1) = A^k + c_1 A^(k-1) + ... +
+    c_(k-1) A, and Newton's identities for the power sums tr(A^j) read
+    k c_k = -tr(A M_(k-1)). Each c_k is an integer, being a coefficient of
+    the determinant of a matrix of integer polynomials, so every trace
+    division below is exact and ``ArithmeticError`` can only mean a bug.
+
+    Cost: A is validated once, its nonzeros are read once per row, and M_k
+    is kept as plain lists of rows. The n - 1 products A M_k are sparse A
+    times dense M, about nnz(A) * n big-int additions each: row i of the
+    product sums x * M_k[j] over the nonzeros x = A[i][j] of row i.
+    """
     _require_square(a, "A")
     n = a.nrows
+    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in a.rows]
     coeffs = [1]
-    m = a
+    m = [list(row) for row in a.rows]
     for k in range(1, n + 1):
-        tr = sum(row[i] for i, row in enumerate(m.rows))
+        tr = sum(row[i] for i, row in enumerate(m))
         if tr % k:
             raise ArithmeticError("trace %d not divisible by %d" % (tr, k))
         c = -(tr // k)
         coeffs.append(c)
         if k < n:
-            shifted = IntMatrix(tuple(row[:i] + (row[i] + c,) + row[i + 1:]
-                                      for i, row in enumerate(m.rows)), n)
-            m = a @ shifted
+            for i, row in enumerate(m):
+                row[i] += c
+            product = []
+            for terms in nonzeros:
+                if not terms:
+                    product.append([0] * n)
+                    continue
+                j, x = terms[0]
+                acc = m[j][:] if x == 1 else [x * y for y in m[j]]
+                for j, x in terms[1:]:
+                    acc = (list(map(add, acc, m[j])) if x == 1
+                           else [s + x * y for s, y in zip(acc, m[j])])
+                product.append(acc)
+            m = product
     return tuple(coeffs)
 
 

@@ -2,8 +2,12 @@
 
 ``det`` checks unimodularity and characteristic polynomials;
 ``in_column_span`` decides membership in a column lattice, the reference
-for the window oracle of the graded equality test.
+for the window oracle of the graded equality test; ``row_sum_two`` builds
+the seeded sparse adjacency matrices of the eventual-kernel and
+characteristic-polynomial tests.
 """
+
+import random
 
 from grhom.intlinalg import IntMatrix, _int_vector, smith_normal_form
 
@@ -53,3 +57,14 @@ def in_column_span(a: IntMatrix, vec) -> bool:
         elif yi % d:
             return False
     return True
+
+
+def row_sum_two(seed, n):
+    """n x n adjacency matrix with every row sum 2, targets drawn with
+    repetition, so zero and repeated columns give nontrivial kernels."""
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(n)]
+    for row in rows:
+        for _ in range(2):
+            row[rng.randrange(n)] += 1
+    return IntMatrix.from_rows(rows, n)

@@ -290,3 +290,27 @@ class TestDeterminism:
         assert res.returncode == 0
         doc = json.loads(res.stdout)
         assert doc["group_description"] == "0"
+
+    def test_cached_parser_matches_fresh_process(self, capsys, data_dir):
+        """The parser is built once per process, so a call must not see
+        state left by earlier ones: each in-process call, made in this
+        order, prints the bytes and exits with the code of a fresh
+        ``python -m grhom`` on the same argv. The usage error comes after
+        ``--special`` is consumed, and the second override would clash with
+        a first one carried over."""
+        e = path(data_dir, "graphE.json")
+        f = path(data_dir, "graphF.json")
+        full = path(data_dir, "full2shift.json")
+        invocations = [
+            ("nf", e, "--special", "u=f"),
+            ("nf", e, "--expr", "f", "--special", "u=f"),
+            ("nf", e, "--expr", "f", "--special", "u=e"),
+            ("nf", e, "--expr", "f"),
+            ("h0gr", f, "--equals", "a(u,1)", "2 a(u,0)"),
+            ("compare", f, full, "--max-lag", "2", "--entry-bound", "2"),
+        ]
+        for argv in invocations:
+            code, out = run_cli(capsys, *argv)
+            fresh = subprocess.run([sys.executable, "-m", "grhom", *argv],
+                                   capture_output=True, text=True)
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv

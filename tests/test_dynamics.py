@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from grhom.corpus import random_primitive_graph
 from grhom.dynamics import (SearchBudget, ShiftEquivalenceCertificate,
-                            _intertwiners, characteristic_polynomial,
+                            _intertwiners, _require_square,
+                            characteristic_polynomial,
                             eventual_conjugacy_verdict, graph_invariants,
                             nonzero_spectrum_fingerprint,
                             search_shift_equivalence, verify_shift_equivalence)
@@ -16,7 +17,7 @@ from grhom.graded import dimension_triple
 from grhom.graph import adjacency, graph_from_dict, graph_to_dict
 from grhom.homology import Verdict, h0
 from grhom.intlinalg import IntMatrix, mat_pow
-from linalg_helpers import det
+from linalg_helpers import det, row_sum_two
 
 
 def mat(rows):
@@ -63,6 +64,27 @@ def reference_search(a, b, max_lag, entry_bound):
                 if r @ s == al and s @ r == bl:
                     return ShiftEquivalenceCertificate(r=r, s=s, lag=lag)
     return None
+
+
+def reference_characteristic_polynomial(a: IntMatrix) -> tuple[int, ...]:
+    """Monic characteristic polynomial det(tI - A), coefficients by
+    descending degree, computed division-free over the integers except for
+    the exact trace divisions of the Faddeev-LeVerrier recurrence."""
+    _require_square(a, "A")
+    n = a.nrows
+    coeffs = [1]
+    m = a
+    for k in range(1, n + 1):
+        tr = sum(row[i] for i, row in enumerate(m.rows))
+        if tr % k:
+            raise ArithmeticError("trace %d not divisible by %d" % (tr, k))
+        c = -(tr // k)
+        coeffs.append(c)
+        if k < n:
+            shifted = IntMatrix(tuple(row[:i] + (row[i] + c,) + row[i + 1:]
+                                      for i, row in enumerate(m.rows)), n)
+            m = a @ shifted
+    return tuple(coeffs)
 
 
 def permute(a, perm):
@@ -319,6 +341,13 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_shift_equivalence(A2, A2, max_lag=1, entry_bound=-1)
 
+    @pytest.mark.parametrize("bad", [2.5, 1.0, True, "2"])
+    def test_non_int_budget_rejected(self, bad):
+        with pytest.raises(ValueError, match="^lags must be ints"):
+            search_shift_equivalence(A2, FULL2, max_lag=bad, entry_bound=2)
+        with pytest.raises(ValueError, match="^entry bounds must be ints"):
+            search_shift_equivalence(A2, FULL2, max_lag=2, entry_bound=bad)
+
     def test_golden_certificates(self):
         """The first certificate depends on the candidate order, so a change
         of the enumeration must not move it. The hash was taken from the
@@ -376,12 +405,31 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n", [20, 40, 60])
     def test_row_sum_two_agrees_with_determinant(self, n):
-        rng = Random(n)
-        a = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for _ in range(2):
-                a[i][rng.randrange(n)] += 1
-        self.agrees_with_determinant(mat(a))
+        self.agrees_with_determinant(row_sum_two(n, n))
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_row_sum_two_matches_reference(self, n):
+        a = row_sum_two(n, n)
+        assert characteristic_polynomial(a) == \
+            reference_characteristic_polynomial(a)
+
+    @given(st.data())
+    def test_matches_reference(self, data):
+        """n in 0..10 and entries in -9..9, with 0 and 1 drawn often so
+        that the row products mix unscaled (x = 1) and scaled terms; a
+        drawn set of rows and columns is then zeroed."""
+        n = data.draw(st.integers(0, 10))
+        a = [list(row) for row in data.draw(square(n, st.one_of(
+            st.sampled_from((0, 1)), st.integers(-9, 9)))).rows]
+        indices = st.sets(st.integers(0, n - 1)) if n else st.just(set())
+        for i in data.draw(indices):
+            a[i] = [0] * n
+        for j in data.draw(indices):
+            for row in a:
+                row[j] = 0
+        a = IntMatrix(tuple(map(tuple, a)), n)
+        assert characteristic_polynomial(a) == \
+            reference_characteristic_polynomial(a)
 
     @given(st.integers(0, 5).flatmap(
         lambda n: square(n, st.integers(-9, 9))))
@@ -390,6 +438,13 @@ class TestSpectrum:
 
 
 class TestVerdictPipeline:
+    @pytest.mark.parametrize("bad", [2.5, 1.5, True, "2"])
+    def test_non_int_budget_rejected(self, bad):
+        with pytest.raises(ValueError, match="^lags must be ints"):
+            SearchBudget(max_lag=bad, entry_bound=1)
+        with pytest.raises(ValueError, match="^entry bounds must be ints"):
+            SearchBudget(max_lag=1, entry_bound=bad)
+
     def test_doubling_vs_full_shift(self, graph_f, full2):
         budget = SearchBudget(max_lag=2, entry_bound=2)
         rep = eventual_conjugacy_verdict(graph_f, full2, budget)

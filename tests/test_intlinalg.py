@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +8,7 @@ from grhom.intlinalg import (FpAbelianGroup, IntMatrix, _diagonalize,
                              invariant_factors, kernel_basis, mat_pow,
                              mat_pow_apply, smith_normal_form,
                              sparse_cokernel)
-from linalg_helpers import det, in_column_span
+from linalg_helpers import det, in_column_span, row_sum_two
 
 
 def mat(rows, ncols=None):
@@ -175,17 +173,6 @@ def reference_eventual_kernel(a: IntMatrix) -> IntMatrix:
     for _ in range(n - 1):
         power = power @ a
     return reference_kernel_basis(power)
-
-
-def row_sum_two(seed, n):
-    """n x n adjacency matrix with every row sum 2, targets drawn with
-    repetition, so zero and repeated columns give nontrivial kernels."""
-    rng = random.Random(seed)
-    rows = [[0] * n for _ in range(n)]
-    for row in rows:
-        for _ in range(2):
-            row[rng.randrange(n)] += 1
-    return mat(rows)
 
 
 def shaped_matrix(nrows, ncols,
