@@ -10,22 +10,11 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import dataclass
 from random import Random
 
 from grhom.corpus import random_primitive_graph
 from grhom.dynamics import eventual_conjugacy_verdict, SearchBudget
 from grhom.graph import adjacency, Edge, Graph
-
-
-@dataclass(frozen=True)
-class DemoConfig:
-    pairs: int = 10
-    seed: int = 7
-    max_vertices: int = 3
-    max_edges: int = 5
-    max_lag: int = 2
-    entry_bound: int = 2
 
 
 def loops_graph(name: str, count: int) -> Graph:
@@ -72,11 +61,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-lag", type=int, default=2)
     parser.add_argument("--entry-bound", type=int, default=2)
     args = parser.parse_args(argv)
-    cfg = DemoConfig(pairs=args.pairs, seed=args.seed,
-                     max_vertices=args.max_vertices,
-                     max_edges=args.max_edges, max_lag=args.max_lag,
-                     entry_bound=args.entry_bound)
-    budget = SearchBudget(max_lag=cfg.max_lag, entry_bound=cfg.entry_bound)
+    budget = SearchBudget(max_lag=args.max_lag, entry_bound=args.entry_bound)
 
     print("named comparisons:")
     show("doubling vs full 2-shift", loops_graph("u", 2),
@@ -87,12 +72,12 @@ def main(argv=None) -> int:
          budget)
 
     print()
-    print("random primitive pairs (seed %d):" % cfg.seed)
-    rng = Random(cfg.seed)
+    print("random primitive pairs (seed %d):" % args.seed)
+    rng = Random(args.seed)
     tally = {"EventuallyConjugate": 0, "Distinguished": 0, "Unknown": 0}
-    for i in range(cfg.pairs):
-        g1 = random_primitive_graph(rng, cfg.max_vertices, cfg.max_edges)
-        g2 = random_primitive_graph(rng, cfg.max_vertices, cfg.max_edges)
+    for i in range(args.pairs):
+        g1 = random_primitive_graph(rng, args.max_vertices, args.max_edges)
+        g2 = random_primitive_graph(rng, args.max_vertices, args.max_edges)
         verdict = show("pair %d" % i, g1, g2, budget)
         tally[verdict] += 1
     print()

@@ -11,7 +11,6 @@ Usage:
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from grhom.corpus import enumerate_multigraphs, is_primitive
 from grhom.graded import verify_exact_sequence
@@ -19,15 +18,8 @@ from grhom.graph import VertexClass, classify_vertices
 from grhom.homology import h0, h0_bruteforce_oracle
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    max_vertices: int = 3
-    max_edges: int = 4
-    oracle_max_len: int = 2
-    oracle_stride: int = 10
-
-
-def survey(cfg: SurveyConfig):
+def survey(args):
+    """Tally the corpus that the parsed command line ``args`` selects."""
     groups = Counter()
     sink_free = 0
     primitive = 0
@@ -35,8 +27,8 @@ def survey(cfg: SurveyConfig):
     oracle_matched = 0
     exactness_ok = 0
     total = 0
-    for i, g in enumerate(enumerate_multigraphs(cfg.max_vertices,
-                                                cfg.max_edges)):
+    for i, g in enumerate(enumerate_multigraphs(args.max_vertices,
+                                                args.max_edges)):
         total += 1
         group = h0(g)
         groups[group.describe()] += 1
@@ -48,9 +40,9 @@ def survey(cfg: SurveyConfig):
         doc = verify_exact_sequence(g)
         if doc["sigma_lambda_zero"] and doc["coker_lambda_equals_h0"]:
             exactness_ok += 1
-        if i % cfg.oracle_stride == 0:
+        if i % args.oracle_stride == 0:
             oracle_checked += 1
-            if h0_bruteforce_oracle(g, cfg.oracle_max_len) == group:
+            if h0_bruteforce_oracle(g, args.oracle_max_len) == group:
                 oracle_matched += 1
     return {
         "total": total,
@@ -70,20 +62,16 @@ def main(argv=None) -> int:
     parser.add_argument("--oracle-max-len", type=int, default=2)
     parser.add_argument("--oracle-stride", type=int, default=10)
     args = parser.parse_args(argv)
-    cfg = SurveyConfig(max_vertices=args.max_vertices,
-                       max_edges=args.max_edges,
-                       oracle_max_len=args.oracle_max_len,
-                       oracle_stride=args.oracle_stride)
 
-    res = survey(cfg)
+    res = survey(args)
     print("graphs surveyed: %d (<= %d vertices, <= %d edges)"
-          % (res["total"], cfg.max_vertices, cfg.max_edges))
+          % (res["total"], args.max_vertices, args.max_edges))
     print("sink-free: %d, of those primitive: %d"
           % (res["sink_free"], res["primitive"]))
     print("exact-sequence report clean: %d / %d"
           % (res["exactness_ok"], res["total"]))
     print("oracle agreement (max_len %d, every %dth graph): %d / %d"
-          % (cfg.oracle_max_len, cfg.oracle_stride,
+          % (args.oracle_max_len, args.oracle_stride,
              res["oracle_matched"], res["oracle_checked"]))
     print()
     print("H0 groups by frequency:")

@@ -14,6 +14,8 @@ from typing import Iterator
 from .graph import Graph, adjacency, graph_from_dict
 from .intlinalg import mat_pow
 
+# draws ``random_primitive_graph`` makes before it gives up
+PRIMITIVE_ATTEMPTS = 1000
 
 def _build(nvertices: int, pairs) -> Graph:
     names = ["v%d" % i for i in range(nvertices)]
@@ -68,10 +70,11 @@ def is_primitive(g: Graph) -> bool:
 
 
 def random_primitive_graph(rng: Random, max_vertices: int,
-                           max_edges: int, attempts: int = 1000) -> Graph:
+                           max_edges: int) -> Graph:
     """Rejection-sample a primitive sink-free graph."""
-    for _ in range(attempts):
+    for _ in range(PRIMITIVE_ATTEMPTS):
         g = random_graph(rng, max_vertices, max_edges, sink_free=True)
         if is_primitive(g):
             return g
-    raise RuntimeError("no primitive graph found in %d attempts" % attempts)
+    raise RuntimeError("no primitive graph found in %d attempts"
+                       % PRIMITIVE_ATTEMPTS)

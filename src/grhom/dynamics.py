@@ -18,12 +18,11 @@ a proof of inequivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .graph import Graph, adjacency, check_unit_sink_free
 from .homology import h0
-from .intlinalg import (FpAbelianGroup, IntMatrix, _require_int, kernel_basis,
-                        mat_pow)
+from .intlinalg import (FpAbelianGroup, IntMatrix, _require_int,
+                        _sparse_product, kernel_basis, mat_pow)
 
 
 @dataclass(frozen=True)
@@ -163,12 +162,7 @@ def search_shift_equivalence(a: IntMatrix, b: IntMatrix, max_lag: int,
     """
     _require_square(a, "A")
     _require_square(b, "B")
-    max_lag = _require_int(max_lag, "lags")
-    entry_bound = _require_int(entry_bound, "entry bounds")
-    if max_lag < 1:
-        raise ValueError("max_lag must be at least 1")
-    if entry_bound < 0:
-        raise ValueError("entry_bound must be nonnegative")
+    SearchBudget(max_lag, entry_bound)  # checks both bounds
     r_valid = _intertwiners(a, b, entry_bound)
     s_valid = _intertwiners(b, a, entry_bound)
     for lag in range(1, max_lag + 1):
@@ -194,8 +188,8 @@ def characteristic_polynomial(a: IntMatrix) -> tuple[int, ...]:
 
     Cost: A is validated once, its nonzeros are read once per row, and M_k
     is kept as plain lists of rows. The n - 1 products A M_k are sparse A
-    times dense M, about nnz(A) * n big-int additions each: row i of the
-    product sums x * M_k[j] over the nonzeros x = A[i][j] of row i.
+    times dense M through ``intlinalg._sparse_product``, about nnz(A) * n
+    big-int additions each.
     """
     _require_square(a, "A")
     n = a.nrows
@@ -211,18 +205,7 @@ def characteristic_polynomial(a: IntMatrix) -> tuple[int, ...]:
         if k < n:
             for i, row in enumerate(m):
                 row[i] += c
-            product = []
-            for terms in nonzeros:
-                if not terms:
-                    product.append([0] * n)
-                    continue
-                j, x = terms[0]
-                acc = m[j][:] if x == 1 else [x * y for y in m[j]]
-                for j, x in terms[1:]:
-                    acc = (list(map(add, acc, m[j])) if x == 1
-                           else [s + x * y for s, y in zip(acc, m[j])])
-                product.append(acc)
-            m = product
+            m = _sparse_product(nonzeros, m, n)
     return tuple(coeffs)
 
 

@@ -31,7 +31,8 @@ from .graph import (Graph, VertexClass, _looks_like_int, _split_terms,
                     classify_vertices)
 from .homology import Verdict, h0
 from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, _require_int,
-                        cokernel, eventual_kernel, mat_pow_apply)
+                        cokernel, eventual_kernel, mat_pow_apply,
+                        sparse_cokernel)
 
 
 @dataclass(frozen=True)
@@ -316,27 +317,27 @@ def verify_exact_sequence(g: Graph) -> dict:
     pos = {s: i for i, s in enumerate(stages)}
     nrows = len(stages) * n
 
-    def flat(stage, vidx):
-        return pos[stage] * n + vidx
+    rows = {}
+    ncols = 0
 
-    cols = []
-    for j, v in enumerate(g.vertices):
-        if not m.regular[j]:
-            continue
-        col = [0] * nrows
-        col[flat(1, j)] += 1
-        for tgt, w in m._out[j]:
-            col[flat(1 - w, tgt)] -= 1
-        cols.append(col)
+    def put(stage, vidx, x):
+        """Add x to the window entry in column ncols. Weights are at least
+        1, so a column's -1s never meet its +1 and no entry sums to 0."""
+        row = rows.setdefault(pos[stage] * n + vidx, {})
+        row[ncols] = row.get(ncols, 0) + x
+
+    for j in range(n):
+        if m.regular[j]:
+            put(1, j, 1)
+            for tgt, w in m._out[j]:
+                put(1 - w, tgt, -1)
+            ncols += 1
     for s in stages[:-1]:
         for j in range(n):
-            col = [0] * nrows
-            col[flat(s + 1, j)] += 1
-            col[flat(s, j)] -= 1
-            cols.append(col)
-    window = IntMatrix(tuple(tuple(col[i] for col in cols)
-                             for i in range(nrows)), len(cols))
-    coker_lambda = cokernel(window)
+            put(s + 1, j, 1)
+            put(s, j, -1)
+            ncols += 1
+    coker_lambda = sparse_cokernel(rows, nrows, ncols)
     plain = h0(g)
     return {
         "sigma_lambda_zero": bool(sigma_lambda_zero),

@@ -19,10 +19,11 @@ rule is part of that output. Every kernel is a left kernel read from u by
 ``_left_kernel`` as a canonical Hermite basis, which does not depend on
 the rule. ``invariant_factors`` (behind ``cokernel``) needs only the
 diagonal. It scans A into sparse rows and hands them to
-``_sparse_factors``, which eliminates +-1 pivots in Markowitz order, each
-step unimodular, so SNF(A) = diag(1, ..., 1, SNF(A')), and then runs
-``_diagonalize`` on the small core A', whose u it drops. The Smith
-diagonal is unique, so both ways in give the same factors.
+``_sparse_factors``. That eliminates +-1 pivots, always in a column
+with the fewest nonzeros, each step unimodular, so
+SNF(A) = diag(1, ..., 1, SNF(A')); it then runs ``_diagonalize`` on the
+small core A' and drops its u. The Smith diagonal is unique, so both
+ways in give the same factors.
 ``sparse_cokernel`` takes the sparse rows directly, for callers such as
 ``homology.h0_bruteforce_oracle`` that write their relations sparse; it
 and ``cokernel`` share the elimination and the step from factors to a
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import add
 
 
 def _require_int(x, what):
@@ -50,6 +52,25 @@ def _int_vector(vec) -> tuple[int, ...]:
     if all(type(x) is int for x in vec):
         return vec
     return tuple(_require_int(x, "vector entries") for x in vec)
+
+
+def _sparse_product(nonzeros, right, ncols) -> list[list[int]]:
+    """Rows of the product L R, with L given by the nonzeros [(k, x), ...]
+    of each of its rows and R by its rows ``right`` of length ncols. Row i
+    is the sum of x * right[k] over the nonzeros of row i of L, added one
+    term at a time, and x = 1 is not multiplied out."""
+    out = []
+    for terms in nonzeros:
+        if not terms:
+            out.append([0] * ncols)
+            continue
+        k, x = terms[0]
+        acc = list(right[k]) if x == 1 else [x * y for y in right[k]]
+        for k, x in terms[1:]:
+            acc = (list(map(add, acc, right[k])) if x == 1
+                   else [s + x * y for s, y in zip(acc, right[k])])
+        out.append(acc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -105,21 +126,16 @@ class IntMatrix:
         return IntMatrix(rows, self.nrows)
 
     def __matmul__(self, other):
-        """Row-oriented product that skips zeros: output row i is the sum
-        of row[k] * other.rows[k] over the nonzero entries row[k] of row i
-        of self, so the cost follows the nonzeros of self, not its size."""
+        """Product through ``_sparse_product``, so the cost follows the
+        nonzeros of self, not its size."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch: %s @ %s" % (self.shape, other.shape))
-        orows = other.rows
-        zero = (0,) * other.ncols
-        out = []
-        for row in self.rows:
-            terms = [orows[k] if x == 1 else [x * y for y in orows[k]]
-                     for k, x in enumerate(row) if x]
-            out.append(tuple(map(sum, zip(*terms))) if terms else zero)
-        return IntMatrix(tuple(out), other.ncols)
+        nonzeros = [[(k, x) for k, x in enumerate(row) if x]
+                    for row in self.rows]
+        out = _sparse_product(nonzeros, other.rows, other.ncols)
+        return IntMatrix(tuple(map(tuple, out)), other.ncols)
 
     def apply(self, vec):
         """Matrix-vector product, vec given as a sequence of ints."""
@@ -309,95 +325,57 @@ def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
     are ``rows``: row index -> {column: entry}, zero entries and rows
     without any left out. The dicts are consumed.
 
-    Sparse unit-pivot elimination first, dense Smith on what is left. The
-    rows are indexed by a column -> rows map. While some entry a[i][j] is
-    a unit u = +-1, take one of least Markowitz cost
-    (r - 1)(c - 1), r and c counting the nonzeros of its row and column,
-    and subtract u * a[k][j] times row i from every other row k; column j
-    is then zero outside row i. Column operations with the unit would
-    clear the rest of row i without touching any other row, so row i and
-    column j are dropped and a factor 1 is counted. Every step is an
-    elementary unimodular operation, so after k unit pivots
-    A ~ diag(I_k, A') and SNF(A) = diag(1, ..., 1, SNF(A')), the 1s
-    leading because 1 divides every factor. The core A' goes to
-    ``_diagonalize`` without its zero rows and columns, and only the
-    factors of that call are kept; the core is small on the
-    relation matrices of ``homology``, which have a unit in nearly every
-    column. The Smith diagonal is unique, so the pivot order affects speed
-    only, never the result, which equals ``smith_normal_form(a).factors``:
-    the units, the nonzero core factors, then zeros up to
-    min(nrows, ncols).
+    Sparse unit-pivot elimination first, dense Smith on what is left. A
+    unit pivot a[i][j] = u = +-1 subtracts u * a[k][j] times row i from
+    every other row k, which clears column j outside row i; column
+    operations with the unit would clear the rest of row i without
+    touching any other row, so row i and column j are dropped and a factor
+    1 is counted. Every step is an elementary unimodular operation, so
+    after k unit pivots A ~ diag(I_k, A') and SNF(A) = diag(1, ..., 1,
+    SNF(A')), the 1s leading because 1 divides every factor. The core A'
+    goes to ``_diagonalize`` without its zero rows and columns, and only
+    the factors of that call are kept; the core is small on the relation
+    matrices of ``homology``, which have a unit in nearly every column.
 
-    Candidates sit in a heap of keys (cost, row, column); a line key
-    (r - 1, i, -1) stands for the units of row i, and (c - 1, -1, j) for
-    those of column j. Every unit keeps a key at most its cost. A step
-    writes entries only at the pivot row's columns, and those units get
-    exact keys. A row it shortens gets a line key, which bounds the costs
-    of its units outside singleton columns; the units inside keep cost 0
-    and their old keys. Columns are handled the same way, and every other
-    cost can only grow. A popped key above its unit's or line's current
-    value is dropped, since a newer key exists, and one below it is pushed
-    again at that value. A line key that matches is expanded into exact
-    keys, and an exact key that matches names a unit of least cost. A long
-    row touched by many steps is therefore not rescanned until its cost
-    comes up.
+    Pivot rule: columns sit in a lazy heap keyed (nonzero count, column).
+    The loop pops the column with the fewest nonzeros, drops the key if
+    it no longer matches the column's count, and pivots on a unit of that
+    column, in the shortest row that has one; a column without a unit is
+    skipped. The Smith diagonal is unique, so the rule affects speed only,
+    never the result, which equals ``smith_normal_form(a).factors``: the
+    units, the nonzero core factors, then zeros up to min(nrows, ncols).
 
-    ``smith_normal_form`` keeps the dense pivot rule, because its u fixes
-    the coordinates of ``homology.h0_class``.
+    A step writes entries only in the columns of the pivot row, and only
+    their counts change, so each of those columns is pushed again at its
+    new count. Every other column keeps its entries and its current key,
+    or was popped without a unit and still has none. So a column holding a
+    unit always has a current key, and the loop ends with no unit left.
     """
     cols = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    heap = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
-            for i, row in rows.items() for j, x in row.items()
-            if x == 1 or x == -1]
+    heap = [(len(col), j) for j, col in cols.items()]
     heapq.heapify(heap)
-
-    def push(i, j):
-        """Exact key of entry (i, j) if it is a unit."""
-        x = rows[i][j]
-        if x == 1 or x == -1:
-            heapq.heappush(heap, ((len(rows[i]) - 1) * (len(cols[j]) - 1),
-                                  i, j))
-
     units = 0
     while heap:
-        key, i, j = heapq.heappop(heap)
-        if i < 0 or j < 0:  # line key
-            line = rows.get(i) if j < 0 else cols.get(j)
-            if line is None:
-                continue
-            now = len(line) - 1
-            if now > key:
-                heapq.heappush(heap, (now, i, j))
-            elif now == key:
-                for k in line:
-                    if j < 0:
-                        push(i, k)
-                    else:
-                        push(k, j)
+        count, j = heapq.heappop(heap)
+        col = cols.get(j)
+        if col is None or len(col) != count:
             continue
-        prow = rows.get(i)
-        if prow is None or prow.get(j) not in (1, -1):
+        candidates = [(len(rows[k]), k) for k in col if rows[k][j] in (1, -1)]
+        if not candidates:
             continue
-        cost = (len(prow) - 1) * (len(cols[j]) - 1)
-        if cost != key:
-            if cost > key:
-                heapq.heappush(heap, (cost, i, j))
-            continue
-        del rows[i]
-        u = prow[j]
-        others = cols.pop(j)
-        others.discard(i)
-        before = {jj: len(cols[jj]) for jj in prow if jj != j}
-        for jj in before:
+        i = min(candidates)[1]
+        prow = rows.pop(i)
+        u = prow.pop(j)
+        for jj in prow:
             cols[jj].discard(i)
-        updated = []
-        for k in others:
+        del cols[j]
+        col.discard(i)
+        for k in col:
             row = rows[k]
-            length = len(row)
-            q = row[j] * u
+            q = row.pop(j) * u
             for jj, x in prow.items():
                 y = row.get(jj, 0) - q * x
                 if y:
@@ -406,28 +384,16 @@ def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
                     row[jj] = y
                 else:
                     del row[jj]
-                    if jj != j:
-                        cols[jj].discard(k)
+                    cols[jj].discard(k)
             if not row:
                 del rows[k]
-            else:
-                updated.append(k)
-                if len(row) < length:
-                    heapq.heappush(heap, (len(row) - 1, k, -1))
-        for jj, length in before.items():
-            rest = cols[jj]
-            if not rest:
-                del cols[jj]
-            elif len(rest) < length:
-                heapq.heappush(heap, (len(rest) - 1, -1, jj))
-        for k in updated:
-            for jj in prow:
-                if jj in rows[k]:
-                    push(k, jj)
+        for jj in prow:
+            if cols[jj]:
+                heapq.heappush(heap, (len(cols[jj]), jj))
         units += 1
     factors = (1,) * units
     if rows:
-        core_cols = sorted(cols)
+        core_cols = sorted(j for j, col in cols.items() if col)
         core = IntMatrix(tuple(tuple(row.get(j, 0) for j in core_cols)
                                for row in rows.values()), len(core_cols))
         factors += tuple(d for d in _diagonalize(core)[1] if d)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from grhom import homology
+from grhom import homology, intlinalg
 from grhom.graph import graph_from_dict
 from grhom.intlinalg import (FpAbelianGroup, IntMatrix, _diagonalize,
                              cokernel, eventual_kernel, hermite_row_basis,
@@ -228,7 +228,9 @@ class TestIntMatrix:
         assert (a @ IntMatrix.identity(2)) == a
 
     @given(st.integers(0, 5).flatmap(lambda k: st.tuples(
-        shaped_matrix(st.integers(0, 5), st.just(k)),
+        st.one_of(shaped_matrix(st.integers(0, 5), st.just(k)),
+                  shaped_matrix(st.integers(0, 5), st.just(k),
+                                st.sampled_from((0,) * 6 + (1, -1, 7)))),
         shaped_matrix(st.just(k), st.integers(0, 5)))))
     def test_matmul_matches_triple_loop(self, pair):
         a, b = pair
@@ -419,6 +421,27 @@ class TestSparseUnitElimination:
         assert a.nrows >= 200
         assert invariant_factors(a) == smith_normal_form(a).factors
         assert group == homology.h0(g)
+
+
+    def test_unit_from_fill_is_pivoted(self, monkeypatch):
+        # column 0 has no unit when first popped; the pivot at (0, 1)
+        # turns its 3 into 3 - 2 = 1, and that unit must be found too
+        a = mat([[2, 1], [3, 1]])
+        assert smith_normal_form(a).factors == (1, 1)
+        cores = []
+
+        def record(core):
+            cores.append(core)
+            return _diagonalize(core)
+
+        monkeypatch.setattr(intlinalg, "_diagonalize", record)
+        assert invariant_factors(a) == (1, 1)
+        assert cores == []
+
+    def test_large_oracle_matches_h0(self, graph_f):
+        # 2^14 - 1 = 16383 path generators
+        assert homology.h0_bruteforce_oracle(graph_f, 13) == \
+            homology.h0(graph_f)
 
 
 class TestCokernel:
