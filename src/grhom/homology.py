@@ -10,17 +10,18 @@ group in canonical form, canonical coordinates of classes, a sound bounded
 positivity test, and an independent brute-force presentation on truncated
 path generators used as an oracle for the vertex presentation.
 
-A graph's presentation is built once per ``Graph`` instance and carries
-its tracked Smith decomposition and its relation columns, each computed on
-first use, so every ``h0``, ``h0_class`` and ``h0_is_positive`` call on
-one graph shares them. ``h0`` reads the group from the sparse
-``cokernel``, not from that decomposition. The oracle writes its relations
-as sparse rows and never builds a dense matrix.
+A graph's presentation is built once per ``Graph`` instance, as sparse
+rows read from the out-edges, and carries the Smith decomposition of the
+one sparse elimination, computed on first use and shared by every query
+on the graph. Coordinates read only the rows of u whose factor is not 1,
+walked back through its log once per graph; ``h0`` hands a copy of the
+rows to ``sparse_cokernel``. Only reports and tests build the dense
+matrix. The oracle also writes its relations as sparse rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -28,8 +29,8 @@ from functools import cached_property
 from .graph import (Graph, check_positive_weights, enumerate_paths,
                     path_range)
 from .intlinalg import (FpAbelianGroup, IntMatrix, SmithDecomposition,
-                        _int_vector, _left_kernel, _require_int, cokernel,
-                        smith_normal_form, sparse_cokernel)
+                        _int_vector, _left_kernel, _require_int,
+                        sparse_cokernel, sparse_smith_normal_form)
 
 
 class Verdict(Enum):
@@ -43,18 +44,41 @@ class Verdict(Enum):
 class H0Presentation:
     """Vertex-indexed presentation: ambient Z^vertices modulo the columns.
 
-    ``smith`` and ``columns`` are computed on first use and kept, so the
+    ``relation_rows`` holds the (column, entry) nonzeros of each vertex's
+    row. The cached properties are computed on first use and kept, so the
     queries on one graph share them; like the fields, they are immutable.
     """
 
     vertex_order: tuple[str, ...]
     regular_vertices: tuple[str, ...]
-    relations: IntMatrix
+    relation_rows: tuple[tuple[tuple[int, int], ...], ...]
+
+    def sparse(self, entry):
+        """``entry`` (a sparse Smith entry) on a fresh copy of the rows."""
+        return entry({i: dict(r) for i, r in enumerate(self.relation_rows)
+                      if r}, len(self.vertex_order),
+                     len(self.regular_vertices))
 
     @cached_property
     def smith(self) -> SmithDecomposition:
-        """The tracked Smith decomposition of ``relations``."""
-        return smith_normal_form(self.relations)
+        """The Smith decomposition of the relation matrix."""
+        return self.sparse(sparse_smith_normal_form)
+
+    @cached_property
+    def coordinate_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(factor, row of u) for the rows of u whose factor is not 1, a row
+        past the diagonal having factor 0: the rows the coordinates read."""
+        f = self.smith.factors
+        f += (0,) * (len(self.vertex_order) - len(f))
+        keep = [i for i, d in enumerate(f) if d != 1]
+        return tuple(zip([f[i] for i in keep], self.smith.u_rows(keep)))
+
+    @cached_property
+    def relations(self) -> IntMatrix:
+        """The dense relation matrix, for reports and tests."""
+        n = len(self.regular_vertices)
+        return IntMatrix(tuple(tuple(dict(r).get(j, 0) for j in range(n))
+                               for r in self.relation_rows), n)
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -74,32 +98,30 @@ def h0_presentation(g: Graph) -> H0Presentation:
     if pres is not None:
         return pres
     check_positive_weights(g, "homology")
-    n = len(g.vertices)
     regular = [v for v in g.vertices if g.out_edges(v)]
-    cols = []
-    for v in regular:
-        col = [0] * n
-        col[g.vertex_index(v)] += 1
+    rows = [defaultdict(int) for _ in g.vertices]
+    for j, v in enumerate(regular):
+        rows[g.vertex_index(v)][j] += 1
         for e in g.out_edges(v):
-            col[g.vertex_index(e.dst)] -= 1
-        cols.append(col)
-    rows = tuple(tuple(col[i] for col in cols) for i in range(n))
+            rows[g.vertex_index(e.dst)][j] -= 1
     pres = H0Presentation(vertex_order=g.vertices,
                           regular_vertices=tuple(regular),
-                          relations=IntMatrix(rows, len(regular)))
+                          relation_rows=tuple(tuple(
+                              (j, x) for j, x in row.items() if x)
+                              for row in rows))
     vars(g)["_h0_presentation"] = pres
     return pres
 
 
 def h0(g: Graph) -> FpAbelianGroup:
-    return cokernel(h0_presentation(g).relations)
+    return h0_presentation(g).sparse(sparse_cokernel)
 
 
 def _class_coordinates(g: Graph, vec):
     """The prologue shared by ``h0_class`` and ``h0_is_positive``.
 
     Checks vec against the presentation and reads its coordinates from the
-    presentation's Smith decomposition. Returns the presentation, vec as a
+    rows of u whose factor is not 1. Returns the presentation, vec as a
     tuple and the coordinates ``h0_class`` returns.
     """
     pres = h0_presentation(g)
@@ -107,11 +129,10 @@ def _class_coordinates(g: Graph, vec):
     if len(vec) != len(pres.vertex_order):
         raise ValueError("vector length %d does not match %d vertices"
                          % (len(vec), len(pres.vertex_order)))
-    dec = pres.smith
-    factors = dec.factors + (0,) * (len(vec) - len(dec.factors))
-    y = dec.u.apply(vec)
-    free = tuple(yi for yi, d in zip(y, factors) if d == 0)
-    residues = tuple(yi % d for yi, d in zip(y, factors) if d > 1)
+    y = [(d, sum(a * b for a, b in zip(row, vec)))
+         for d, row in pres.coordinate_rows]
+    free = tuple(yi for d, yi in y if d == 0)
+    residues = tuple(yi % d for d, yi in y if d > 1)
     return pres, vec, free + residues
 
 

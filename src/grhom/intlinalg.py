@@ -5,35 +5,39 @@ normal form with its unimodular row transform, Hermite-reduced kernel bases,
 eventual kernels of square matrices, and finitely generated abelian groups
 presented as cokernels.
 
-There is one dense Smith elimination, ``_diagonalize``, and two ways in.
-``smith_normal_form`` runs it on the whole matrix. It tracks the row
-transform u, never the column one, and runs a dense pivot rule: the
-smallest nonzero |pivot| with a row-major tie-break, a nonnegative
-diagonal, and the divisibility chain d1 | d2 | ... enforced, so u and the
-factors are deterministic for a fixed input. Its updates are sparse-aware:
-a row or column operation touches only the nonzeros of the pivot line, and
-a unit pivot skips the divisibility scan. The skipped steps change no
-entry, so u and the factors are those of the plain dense elimination. u
-fixes the coordinates that ``homology.h0_class`` returns, so the pivot
-rule is part of that output. Every kernel is a left kernel read from u by
-``_left_kernel`` as a canonical Hermite basis, which does not depend on
-the rule. ``invariant_factors`` (behind ``cokernel``) needs only the
-diagonal. It scans A into sparse rows and hands them to
-``_sparse_factors``. That eliminates +-1 pivots, always in a column
-with the fewest nonzeros, each step unimodular, so
-SNF(A) = diag(1, ..., 1, SNF(A')); it then runs ``_diagonalize`` on the
-small core A' and drops its u. The Smith diagonal is unique, so both
-ways in give the same factors.
-``sparse_cokernel`` takes the sparse rows directly, for callers such as
-``homology.h0_bruteforce_oracle`` that write their relations sparse; it
-and ``cokernel`` share the elimination and the step from factors to a
-group.
+There is one Smith elimination, ``_eliminate``, on sparse rows: dicts
+column -> nonzero entry under stable row ids, with ``order`` mapping
+positions to row ids, ``at``/``pos`` permuting the columns and a set of
+row ids per column, so a swap costs O(1). Its pivot rule is the plain
+dense one: the first +-1 in row-major order of positions, else the
+row-major-first entry of smallest |x|; a nonnegative diagonal; quotients
+-(x // p); and the chain d1 | d2 | ... forced by adding the first row, in
+position order, that p does not divide. So u and the factors are those of
+the dense elimination; u fixes the coordinates of ``homology.h0_class``.
+
+u is not built forward. Row operations are logged as (k, src, q), "row k
++= q * row src", a negation of row k as (k, k, -2). Over row ids they
+multiply out to U = E_N ... E_1 with E = I + q e_k e_src^T. A swap only
+moves ids in ``order``, and an operation on positions a and b is the one
+on ids order[a] and order[b], so row r of u is e_{order[r]}^T U. As
+w E = w + q w_k e_src^T, ``SmithDecomposition.u_rows`` starts from
+e_{order[r]} and walks the log backwards, adding q * w_k to w_src (for
+(k, k, -2) that flips w_k), for the rows a caller reads: ``_left_kernel``
+those with factor 0 or past the diagonal, the source of every kernel.
+
+``smith_normal_form`` scans a dense matrix into rows for
+``sparse_smith_normal_form``. ``invariant_factors`` (behind ``cokernel``)
+and ``sparse_cokernel`` need only the diagonal: ``_sparse_factors``
+eliminates +-1 pivots, each step unimodular, so SNF(A) = diag(1, ..., 1,
+SNF(A')), and hands the rows of the small core A' to ``_eliminate``. The
+Smith diagonal is unique, so all of them give the same factors.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 
 
@@ -159,14 +163,33 @@ class IntMatrix:
 @dataclass(frozen=True)
 class SmithDecomposition:
     """u unimodular with u @ a @ v == diag(factors) for some unimodular v;
-    neither v nor the diagonal matrix is kept.
+    neither v nor the diagonal matrix is kept, and u is kept as the
+    elimination's row-operation ``log`` and final row ``order``.
 
     ``factors`` is the full Smith diagonal (length min(nrows, ncols)): the
     divisibility chain d1 | d2 | ... | dk followed by zeros, all nonnegative.
     """
 
-    u: IntMatrix
     factors: tuple[int, ...]
+    order: tuple[int, ...]
+    log: tuple[tuple[int, int, int], ...]
+
+    def u_rows(self, positions) -> tuple[tuple[int, ...], ...]:
+        """The rows of u at ``positions``, each walked back through the
+        log (see the module docstring)."""
+        out = []
+        for r in positions:
+            w = [0] * len(self.order)
+            w[self.order[r]] = 1
+            for k, src, q in reversed(self.log):
+                if w[k]:
+                    w[src] += q * w[k]
+            out.append(tuple(w))
+        return tuple(out)
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        return IntMatrix(self.u_rows(range(len(self.order))), len(self.order))
 
 
 @dataclass(frozen=True)
@@ -200,124 +223,113 @@ class FpAbelianGroup:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
-def _find_pivot(s, t, m, n):
-    """Smallest-absolute-value nonzero entry of s[t:, t:], row-major tie-break."""
-    best = None
-    bi = bj = -1
-    for i in range(t, m):
-        row = s[i]
-        for j in range(t, n):
-            x = row[j]
-            if x:
-                ax = -x if x < 0 else x
-                if best is None or ax < best:
-                    best, bi, bj = ax, i, j
-                    if best == 1:
-                        return bi, bj
-    return None if best is None else (bi, bj)
+def _add_row(rows, cols, i, q, src):
+    """rows[i] += q * rows[src], keeping the column sets ``cols``."""
+    row = rows[i]
+    for j, x in rows[src].items():
+        y = row.get(j, 0) + q * x
+        if y:
+            if j not in row:
+                cols[j].add(i)
+            row[j] = y
+        else:
+            del row[j]
+            cols[j].discard(i)
 
 
-def _diagonalize(a: IntMatrix):
-    """The dense Smith elimination; returns (u rows, factors).
-
-    Each entry gets the arithmetic of the plain dense elimination, in the
-    same order; only updates by zero and the scan under a unit pivot are
-    skipped (see the module docstring). The column operations act on the
-    working copy of a alone, so the column transform is never built.
-    """
-    m, n = a.nrows, a.ncols
-    s = [list(row) for row in a.rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def nonzeros(line):
-        return [(k, x) for k, x in enumerate(line) if x]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        piv = _find_pivot(s, t, m, n)
-        if piv is None:
-            break
-        while True:
-            pi, pj = piv
-            if pi != t:
-                s[t], s[pi] = s[pi], s[t]
-                u[t], u[pi] = u[pi], u[t]
-            if pj != t:
-                for row in s:
-                    row[t], row[pj] = row[pj], row[t]
-            if s[t][t] < 0:
-                s[t] = [-x for x in s[t]]
-                u[t] = [-x for x in u[t]]
-            p = s[t][t]
-            dirty = False
-            # row i += q * row t; row t is fixed inside this pass
-            srow = nonzeros(s[t])
-            urow = nonzeros(u[t])
-            for i in range(m):
-                if i != t and s[i][t]:
-                    q = -(s[i][t] // p)
-                    si = s[i]
-                    for j, x in srow:
-                        si[j] += q * x
-                    ui = u[i]
-                    for j, x in urow:
-                        ui[j] += q * x
-                    if si[t]:
-                        dirty = True
-            if not dirty:
-                # col j += q * col t; col t is fixed inside this pass
-                scol = nonzeros(row[t] for row in s)
-                st = s[t]
-                for j in range(n):
-                    if j != t and st[j]:
-                        q = -(st[j] // p)
-                        for i, x in scol:
-                            s[i][j] += q * x
-                        if st[j]:
-                            dirty = True
-            if not dirty:
-                break
-            piv = _find_pivot(s, t, m, n)
-        # force divisibility: pivot must divide every remaining entry
-        p = s[t][t]
-        offender = None
-        if p != 1:
-            for i in range(t + 1, m):
-                row = s[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        offender = i
+def _eliminate(rows, col_ids):
+    """The Smith elimination of the module docstring on ``rows``, dicts
+    column -> nonzero entry (consumed; a row's id is its index), with the
+    columns ``col_ids`` in order. Returns (factors, order, log)."""
+    m, at = len(rows), list(col_ids)
+    pos = {j: c for c, j in enumerate(at)}
+    cols = {j: set() for j in at}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    order, log, factors = list(range(m)), [], []
+    limit = min(m, len(at))
+    while len(factors) < limit:
+        # the pivot; rows at positions >= t meet only columns there
+        t = len(factors)
+        best = None
+        for r in range(t, m):
+            if rows[order[r]]:
+                x = min(map(abs, rows[order[r]].values()))
+                if best is None or x < best[0]:
+                    best = (x, r)
+                    if x == 1:
                         break
-                if offender is not None:
-                    break
-        if offender is not None:
-            # row t += row offender
-            for rows in (s, u):
-                rows[t] = [x + y for x, y in zip(rows[t], rows[offender])]
+        if best is None:
+            break
+        x, r = best
+        k = order[r]
+        j = min((j for j, y in rows[k].items() if abs(y) == x),
+                key=pos.__getitem__)
+        order[t], order[r] = k, order[t]
+        c = at[t]
+        if j != c:
+            pj = pos[j]
+            at[t], at[pj], pos[j], pos[c] = j, c, t, pj
+            c = j
+        prow = rows[k]
+        p = prow[c]
+        if p < 0:
+            rows[k] = prow = {jj: -x for jj, x in prow.items()}
+            log.append((k, k, -2))
+            p = -p
+        for i in [i for i in cols[c] if i != k]:
+            q = -(rows[i][c] // p)
+            if q:
+                _add_row(rows, cols, i, q, k)
+                log.append((i, k, q))
+        if len(cols[c]) > 1:
             continue
-        t += 1
-    return u, tuple(s[i][i] for i in range(limit))
+        # the column operations reduce row k modulo p
+        for jj in [jj for jj in prow if jj != c]:
+            prow[jj] %= p
+            if not prow[jj]:
+                del prow[jj]
+                cols[jj].discard(k)
+        if len(prow) > 1:
+            continue
+        # force divisibility
+        if p != 1:
+            src = next((order[r] for r in range(t + 1, m)
+                        if any(x % p for x in rows[order[r]].values())), None)
+            if src is not None:
+                _add_row(rows, cols, k, 1, src)
+                log.append((k, src, 1))
+                continue
+        factors.append(p)
+    return tuple(factors) + (0,) * (limit - len(factors)), order, log
+
+
+def sparse_smith_normal_form(rows, nrows, ncols) -> SmithDecomposition:
+    """``smith_normal_form`` of the nrows x ncols matrix whose nonzero rows
+    are given as ``sparse_cokernel`` takes them; the dicts are consumed."""
+    factors, order, log = _eliminate(
+        [rows.get(i, {}) for i in range(nrows)], range(ncols))
+    return SmithDecomposition(factors, tuple(order), tuple(log))
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """The Smith diagonal of a and its row transform u, with deterministic
     pivoting; u @ a @ v is diagonal for a unimodular v that is not kept."""
-    u, factors = _diagonalize(a)
-    return SmithDecomposition(u=IntMatrix(tuple(map(tuple, u)), a.nrows),
-                              factors=factors)
+    return sparse_smith_normal_form(_nonzero_rows(a), a.nrows, a.ncols)
+
+
+def _nonzero_rows(a: IntMatrix):
+    """The nonzero rows of a as row index -> {column: entry}."""
+    return {i: nz for i, row in enumerate(a.rows)
+            if (nz := {j: x for j, x in enumerate(row) if x})}
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith form of a, without the transforms: the nonzero
     rows of a, scanned once, go to ``_sparse_factors``. The result equals
     ``smith_normal_form(a).factors``."""
-    rows = {}
-    for i, row in enumerate(a.rows):
-        nz = {j: x for j, x in enumerate(row) if x}
-        if nz:
-            rows[i] = nz
-    return _sparse_factors(rows, a.nrows, a.ncols)
+    return _sparse_factors(_nonzero_rows(a), a.nrows, a.ncols)
 
 
 def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
@@ -325,16 +337,16 @@ def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
     are ``rows``: row index -> {column: entry}, zero entries and rows
     without any left out. The dicts are consumed.
 
-    Sparse unit-pivot elimination first, dense Smith on what is left. A
+    Sparse unit-pivot elimination first, ``_eliminate`` on what is left. A
     unit pivot a[i][j] = u = +-1 subtracts u * a[k][j] times row i from
     every other row k, which clears column j outside row i; column
     operations with the unit would clear the rest of row i without
     touching any other row, so row i and column j are dropped and a factor
     1 is counted. Every step is an elementary unimodular operation, so
     after k unit pivots A ~ diag(I_k, A') and SNF(A) = diag(1, ..., 1,
-    SNF(A')), the 1s leading because 1 divides every factor. The core A'
-    goes to ``_diagonalize`` without its zero rows and columns, and only
-    the factors of that call are kept; the core is small on the relation
+    SNF(A')), the 1s leading because 1 divides every factor. The rows of
+    the core A' go to ``_eliminate`` as they are, with its nonzero columns,
+    and only the factors are kept; the core is small on the relation
     matrices of ``homology``, which have a unit in nearly every column.
 
     Pivot rule: columns sit in a lazy heap keyed (nonzero count, column).
@@ -393,10 +405,9 @@ def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
         units += 1
     factors = (1,) * units
     if rows:
-        core_cols = sorted(j for j, col in cols.items() if col)
-        core = IntMatrix(tuple(tuple(row.get(j, 0) for j in core_cols)
-                               for row in rows.values()), len(core_cols))
-        factors += tuple(d for d in _diagonalize(core)[1] if d)
+        core = _eliminate(list(rows.values()),
+                          sorted(j for j, col in cols.items() if col))
+        factors += tuple(d for d in core[0] if d)
     return factors + (0,) * (min(nrows, ncols) - len(factors))
 
 
@@ -472,11 +483,11 @@ def _left_kernel(dec: SmithDecomposition) -> IntMatrix:
 
     u @ a == s @ v^-1, so y @ a == 0 iff y @ u^-1 vanishes on the rows of s
     with a nonzero factor: the rows of u whose factor is 0 or that lie past
-    the diagonal span the left kernel."""
+    the diagonal span the left kernel, and only those rows are built."""
     factors = dec.factors
-    return hermite_row_basis(
-        [row for i, row in enumerate(dec.u.rows)
-         if i >= len(factors) or factors[i] == 0], dec.u.ncols)
+    m = len(dec.order)
+    return hermite_row_basis(dec.u_rows(
+        [i for i in range(m) if i >= len(factors) or factors[i] == 0]), m)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -486,11 +497,19 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
 
 
 def eventual_kernel(a: IntMatrix) -> IntMatrix:
-    """Basis of the union of ker(a^k); the chain stabilizes by k = size."""
+    """Basis of the union of ker(a^k): ker(a^k) for the first k with
+    rank(a^k) == rank(a^(k+1)). The kernels grow, so they are then equal,
+    and a^(k+2) x == 0 puts a x in ker(a^k): the chain stops (Fitting)."""
     if a.nrows != a.ncols:
         raise ValueError("eventual kernel requires a square matrix, got %s"
                          % (a.shape,))
-    return kernel_basis(mat_pow(a, a.nrows))
+    power, rank = IntMatrix.identity(a.nrows), a.nrows
+    while True:
+        nxt = power @ a
+        nxt_rank = sum(1 for d in invariant_factors(nxt) if d)
+        if nxt_rank == rank:
+            return kernel_basis(power)
+        power, rank = nxt, nxt_rank
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:

@@ -2,14 +2,17 @@
 
 ``det`` checks unimodularity and characteristic polynomials;
 ``in_column_span`` decides membership in a column lattice, the reference
-for the window oracle of the graded equality test; ``row_sum_two`` builds
+for the window oracle of the graded equality test;
+``full_power_eventual_kernel`` is the eventual kernel read from a^n, the
+reference for the early stop of ``eventual_kernel``; ``row_sum_two`` builds
 the seeded sparse adjacency matrices of the eventual-kernel and
 characteristic-polynomial tests.
 """
 
 import random
 
-from grhom.intlinalg import IntMatrix, _int_vector, smith_normal_form
+from grhom.intlinalg import (IntMatrix, _int_vector, kernel_basis, mat_pow,
+                             smith_normal_form)
 
 
 def det(a: IntMatrix) -> int:
@@ -57,6 +60,12 @@ def in_column_span(a: IntMatrix, vec) -> bool:
         elif yi % d:
             return False
     return True
+
+
+def full_power_eventual_kernel(a: IntMatrix) -> IntMatrix:
+    """The eventual kernel as ker(a^n), n the size of a: the chain of
+    kernels has stopped by then."""
+    return kernel_basis(mat_pow(a, a.nrows))
 
 
 def row_sum_two(seed, n):

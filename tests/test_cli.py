@@ -1,10 +1,15 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import grhom
 from grhom.cli import main
+
+SRC = pathlib.Path(grhom.__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -21,6 +26,16 @@ def run_json(capsys, *argv):
 
 def path(data_dir, name):
     return str(data_dir / name)
+
+
+def run_module(*argv):
+    """``python -m grhom`` in a fresh process that imports the package
+    under test, whether or not PYTHONPATH names it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "grhom", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 class TestReports:
@@ -283,10 +298,7 @@ class TestDeterminism:
             assert outs[0] == outs[1] == outs[2]
 
     def test_module_entry_point(self, data_dir):
-        res = subprocess.run(
-            [sys.executable, "-m", "grhom", "h0",
-             path(data_dir, "graphE.json")],
-            capture_output=True, text=True)
+        res = run_module("h0", path(data_dir, "graphE.json"))
         assert res.returncode == 0
         doc = json.loads(res.stdout)
         assert doc["group_description"] == "0"
@@ -311,6 +323,5 @@ class TestDeterminism:
         ]
         for argv in invocations:
             code, out = run_cli(capsys, *argv)
-            fresh = subprocess.run([sys.executable, "-m", "grhom", *argv],
-                                   capture_output=True, text=True)
+            fresh = run_module(*argv)
             assert (code, out) == (fresh.returncode, fresh.stdout), argv

@@ -391,23 +391,25 @@ class TestOracleMatchesReference:
 
 
 class TestPresentationMemo:
-    """One presentation and one tracked Smith form per graph object."""
+    """One presentation and one Smith elimination per graph object."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         counts = Counter()
-        build, smith = homology.H0Presentation, homology.smith_normal_form
+        build = homology.H0Presentation
+        smith = homology.sparse_smith_normal_form
 
         def counted_build(**kwargs):
             counts["presentation"] += 1
             return build(**kwargs)
 
-        def counted_smith(a):
+        def counted_smith(rows, nrows, ncols):
             counts["smith"] += 1
-            return smith(a)
+            return smith(rows, nrows, ncols)
 
         monkeypatch.setattr(homology, "H0Presentation", counted_build)
-        monkeypatch.setattr(homology, "smith_normal_form", counted_smith)
+        monkeypatch.setattr(homology, "sparse_smith_normal_form",
+                            counted_smith)
         return counts
 
     def queries(self, g, vecs):

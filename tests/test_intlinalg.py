@@ -1,14 +1,17 @@
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from grhom import homology, intlinalg
 from grhom.graph import graph_from_dict
-from grhom.intlinalg import (FpAbelianGroup, IntMatrix, _diagonalize,
-                             cokernel, eventual_kernel, hermite_row_basis,
+from grhom.intlinalg import (FpAbelianGroup, IntMatrix, cokernel,
+                             eventual_kernel, hermite_row_basis,
                              invariant_factors, kernel_basis, mat_pow,
                              mat_pow_apply, smith_normal_form,
-                             sparse_cokernel)
-from linalg_helpers import det, in_column_span, row_sum_two
+                             sparse_cokernel, sparse_smith_normal_form)
+from linalg_helpers import (det, full_power_eventual_kernel, in_column_span,
+                            row_sum_two)
 
 
 def mat(rows, ncols=None):
@@ -59,7 +62,7 @@ def reference_find_pivot(s, t, m, n):
 
 
 def reference_diagonalize(a: IntMatrix, track: bool):
-    """The plain dense Smith elimination that ``_diagonalize`` must match
+    """The plain dense Smith elimination that ``smith_normal_form`` must match
     exactly; returns (diag rows, u rows, v rows, factors)."""
     m, n = a.nrows, a.ncols
     s = [list(row) for row in a.rows]
@@ -334,41 +337,81 @@ class TestSmithNormalForm:
         assert invariant_factors(a) == smith_normal_form(a).factors
 
 
+def survey_pairs(rng, n, nedges, sinks):
+    """Edge list shaped like the benchmark survey's random records: the
+    last ``sinks`` vertices have no out-edge, every other vertex has at
+    least one."""
+    sources = list(range(n - sinks))
+    pairs = [(i, rng.randrange(n)) for i in sources]
+    pairs += [(rng.choice(sources), rng.randrange(n))
+              for _ in range(nedges - len(pairs))]
+    rng.shuffle(pairs)
+    return pairs
+
+
 class TestDiagonalizeMatchesReference:
-    """The sparse-aware _diagonalize against the plain dense elimination:
-    same u and factors. The reference also builds the diagonal and v,
-    which _diagonalize does not return. The sparse invariant_factors is
-    held to the reference's factors as well, so its unit pivots and
-    non-unit core face an independent elimination."""
+    """The sparse elimination with its row-operation log against the plain
+    dense elimination: the same factors, the same full u, and the same rows
+    of u from ``u_rows`` for any list of positions. The reference also
+    builds the diagonal and v, which the elimination does not keep. The
+    sparse invariant_factors is held to the reference's factors as well,
+    so its unit pivots and non-unit core face an independent elimination."""
 
     @staticmethod
-    def check(a):
+    def check(a, positions):
         _, u, _, factors = reference_diagonalize(a, True)
-        assert _diagonalize(a) == (u, factors)
+        dec = smith_normal_form(a)
+        assert dec.factors == factors
+        assert dec.u == IntMatrix(tuple(map(tuple, u)), a.nrows)
+        assert dec.u_rows(positions) == tuple(tuple(u[r]) for r in positions)
         assert invariant_factors(a) == factors
 
-    @given(small_matrix())
-    def test_small(self, a):
-        self.check(a)
+    @staticmethod
+    def positions(data, a):
+        if not a.nrows:
+            return []
+        return data.draw(st.lists(st.integers(0, a.nrows - 1), max_size=6))
 
-    @given(sparse_matrix())
-    def test_sparse(self, a):
-        self.check(a)
+    @given(small_matrix(), st.data())
+    def test_small(self, a, data):
+        self.check(a, self.positions(data, a))
 
-    @given(small_matrix(max_dim=8, max_entry=50))
-    def test_dense_big_entries(self, a):
-        self.check(a)
+    @given(sparse_matrix(), st.data())
+    def test_sparse(self, a, data):
+        self.check(a, self.positions(data, a))
+
+    @given(small_matrix(max_dim=8, max_entry=50), st.data())
+    def test_dense_big_entries(self, a, data):
+        self.check(a, self.positions(data, a))
 
     @pytest.mark.parametrize("sinks", [False, True])
     def test_relation_matrix_n120(self, seeded_graph, sinks):
         a = homology.h0_presentation(seeded_graph(120, 120, sinks)).relations
         assert (a.ncols < 120) == sinks
-        self.check(a)
+        self.check(a, sorted(Random(7).sample(range(120), 20)))
+
+    @pytest.mark.parametrize("sinks", [0, 16])
+    def test_survey_coordinate_rows(self, sinks):
+        """On survey-shaped graphs with n = 160, the rows of u that the
+        class coordinates read are those of the reference."""
+        pairs = survey_pairs(Random(sinks), 160, 320, sinks)
+        g = graph_from_dict({
+            "vertices": ["v%d" % i for i in range(160)],
+            "edges": [{"id": "e%d" % k, "src": "v%d" % i, "dst": "v%d" % j}
+                      for k, (i, j) in enumerate(pairs)]})
+        pres = homology.h0_presentation(g)
+        _, u, _, factors = reference_diagonalize(pres.relations, True)
+        factors += (0,) * (160 - len(factors))
+        assert pres.coordinate_rows == tuple(
+            (d, tuple(u[r])) for r, d in enumerate(factors) if d != 1)
+        assert sum(1 for d in factors if d != 1) >= sinks
 
     def test_smith_normal_form_wraps_the_rows(self, seeded_graph):
-        a = homology.h0_presentation(seeded_graph(7, 30, True)).relations
+        pres = homology.h0_presentation(seeded_graph(7, 30, True))
+        a = pres.relations
         _, u, _, factors = reference_diagonalize(a, True)
-        dec = smith_normal_form(a)
+        dec = pres.sparse(sparse_smith_normal_form)
+        assert dec == smith_normal_form(a)
         assert dec.u == IntMatrix.from_rows(u, a.nrows)
         assert dec.factors == factors
 
@@ -429,12 +472,13 @@ class TestSparseUnitElimination:
         a = mat([[2, 1], [3, 1]])
         assert smith_normal_form(a).factors == (1, 1)
         cores = []
+        eliminate = intlinalg._eliminate
 
-        def record(core):
-            cores.append(core)
-            return _diagonalize(core)
+        def record(rows, col_ids):
+            cores.append(rows)
+            return eliminate(rows, col_ids)
 
-        monkeypatch.setattr(intlinalg, "_diagonalize", record)
+        monkeypatch.setattr(intlinalg, "_eliminate", record)
         assert invariant_factors(a) == (1, 1)
         assert cores == []
 
@@ -558,6 +602,48 @@ class TestKernelsMatchReference:
         basis = eventual_kernel(a)
         assert basis.nrows > 0
         assert basis == reference_eventual_kernel(a)
+
+
+def nilpotent_matrix(max_dim=5, max_entry=3):
+    """Strictly upper triangular matrices conjugated by a unimodular
+    elementary matrix: nilpotent, so the eventual kernel is everything,
+    reached at a power up to the size."""
+    return st.integers(1, max_dim).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-max_entry, max_entry), min_size=n,
+                          max_size=n), min_size=n, max_size=n),
+        st.integers(0, n - 1), st.integers(0, n - 1),
+        st.integers(-2, 2)).map(lambda t: _conjugated_nilpotent(*t)))
+
+
+def _conjugated_nilpotent(rows, i, j, q):
+    n = len(rows)
+    strict = IntMatrix(tuple(tuple(x if c > r else 0 for c, x in
+                                   enumerate(row))
+                             for r, row in enumerate(rows)), n)
+    if i == j:
+        return strict
+    e = [[int(r == c) for c in range(n)] for r in range(n)]
+    e[i][j] = q
+    e_inv = [[int(r == c) for c in range(n)] for r in range(n)]
+    e_inv[i][j] = -q
+    return (IntMatrix.from_rows(e, n) @ strict) @ IntMatrix.from_rows(e_inv, n)
+
+
+class TestEventualKernelStopsEarly:
+    """eventual_kernel stops at the first k with rank(a^k) ==
+    rank(a^(k+1)); the basis must equal the kernel basis of a^n."""
+
+    @given(st.one_of(square_matrix(max_dim=5, max_entry=3),
+                     nilpotent_matrix()))
+    def test_matches_full_power(self, a):
+        assert eventual_kernel(a) == full_power_eventual_kernel(a)
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_row_sum_two(self, n):
+        a = row_sum_two(n, n)
+        basis = eventual_kernel(a)
+        assert basis.nrows > 0
+        assert basis == full_power_eventual_kernel(a)
 
 
 class TestHermite:
