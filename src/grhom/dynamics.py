@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .graph import Graph, adjacency, check_unit_sink_free
 from .homology import h0
-from .intlinalg import (FpAbelianGroup, IntMatrix, _require_int,
-                        _sparse_product, kernel_basis, mat_pow)
+from .intlinalg import (FpAbelianGroup, IntMatrix, _require_int, kernel_basis,
+                        mat_pow)
 
 
 @dataclass(frozen=True)
@@ -177,35 +177,58 @@ def search_shift_equivalence(a: IntMatrix, b: IntMatrix, max_lag: int,
 
 def characteristic_polynomial(a: IntMatrix) -> tuple[int, ...]:
     """Monic characteristic polynomial det(tI - A), coefficients by
-    descending degree, by the Faddeev-LeVerrier recurrence over the integers.
+    descending degree, from the power sums p_k = tr(A^k) by Newton's
+    identities.
 
-    Write det(tI - A) = t^n + c_1 t^(n-1) + ... + c_n and let M_0 = I,
-    M_k = A M_(k-1) + c_k I. Then A M_(k-1) = A^k + c_1 A^(k-1) + ... +
-    c_(k-1) A, and Newton's identities for the power sums tr(A^j) read
-    k c_k = -tr(A M_(k-1)). Each c_k is an integer, being a coefficient of
-    the determinant of a matrix of integer polynomials, so every trace
-    division below is exact and ``ArithmeticError`` can only mean a bug.
+    Write det(tI - A) = t^n + c_1 t^(n-1) + ... + c_n. Newton's identities
+    read k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1) for k = 1..n.
+    Each c_k is an integer, being a coefficient of the determinant of a
+    matrix of integer polynomials, so every division by k below is exact
+    and ``ArithmeticError`` can only mean a bug.
 
-    Cost: A is validated once, its nonzeros are read once per row, and M_k
-    is kept as plain lists of rows. The n - 1 products A M_k are sparse A
-    times dense M through ``intlinalg._sparse_product``, about nnz(A) * n
-    big-int additions each.
+    Row i of A^k is packed into one int with signed slots of w bits,
+    P_i = sum_j (A^k)_ij 2^(w j), and row i of A^(k+1) is
+    sum_j A_ij P_j. Slots never carry into each other: with rho the
+    largest absolute row sum of A (at least 1), the infinity norm is
+    submultiplicative, so |(A^k)_ij| <= ||A^k|| <= rho^k <= rho^n for
+    k <= n, and w = bitlength(rho^n) + 1 gives |(A^k)_ij| < 2^(w-1).
+    Adding H, which holds 2^(w-1) in every slot, makes every slot a digit
+    in [0, 2^w), so slot i of P_i + H is (A^k)_ii + 2^(w-1) whatever the
+    signs, and p_k is the sum of these slots less n 2^(w-1).
+
+    Cost: A is validated once and its nonzeros are read once per row.
+    Each of the n - 1 products costs nnz(A) big-int multiply-adds on ints
+    of n w bits, and each power sum n additions, shifts and masks of such
+    ints; no entry of A^k is handled on its own. The width follows the
+    bound rho^n, not the size the entries of A^k reach, so one heavy
+    entry widens every slot: a cycle of n vertices with one edge of
+    weight 10^6 has entries of at most 20 bits but slots of about 20 n.
     """
     _require_square(a, "A")
     n = a.nrows
+    rho = max([1] + [sum(map(abs, row)) for row in a.rows])
+    w = (rho ** n).bit_length() + 1
+    shifts = [w * i for i in range(n)]
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    fill = sum(half << s for s in shifts)
     nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in a.rows]
-    coeffs = [1]
-    m = [list(row) for row in a.rows]
+    power = [sum(x << shifts[j] for j, x in terms) for terms in nonzeros]
+    coeffs, sums = [1], []
     for k in range(1, n + 1):
-        tr = sum(row[i] for i, row in enumerate(m))
-        if tr % k:
-            raise ArithmeticError("trace %d not divisible by %d" % (tr, k))
-        c = -(tr // k)
-        coeffs.append(c)
+        sums.append(sum(((row + fill) >> s) & mask
+                        for row, s in zip(power, shifts)) - n * half)
+        t = sum(c * p for c, p in zip(coeffs, reversed(sums)))
+        if t % k:
+            raise ArithmeticError("power sum %d not divisible by %d" % (t, k))
+        coeffs.append(-(t // k))
         if k < n:
-            for i, row in enumerate(m):
-                row[i] += c
-            m = _sparse_product(nonzeros, m, n)
+            rows = []
+            for terms in nonzeros:
+                acc = 0
+                for j, x in terms:
+                    acc += power[j] if x == 1 else x * power[j]
+                rows.append(acc)
+            power = rows
     return tuple(coeffs)
 
 

@@ -179,6 +179,9 @@ def _require(cond, message, offender=None):
 
 
 def graph_from_dict(obj) -> Graph:
+    """Graph of a decoded JSON document, or ``GraphFormatError`` naming the
+    first malformed vertex or edge. Each check formats its message only
+    when it fails."""
     _require(isinstance(obj, dict), "graph document must be a JSON object")
     _require("vertices" in obj, "missing 'vertices'")
     _require("edges" in obj, "missing 'edges'")
@@ -187,32 +190,40 @@ def graph_from_dict(obj) -> Graph:
     _require(isinstance(raw_es, list), "'edges' must be a list")
     seen = set()
     for v in raw_vs:
-        _require(isinstance(v, str), "vertex ids must be strings", v)
-        _require(v not in seen, "duplicate vertex id %r" % v, v)
+        if not isinstance(v, str):
+            raise GraphFormatError("vertex ids must be strings", v)
+        if v in seen:
+            raise GraphFormatError("duplicate vertex id %r" % v, v)
         seen.add(v)
     vertices = tuple(raw_vs)
     vset = seen
     edges = []
     eids = set()
     for item in raw_es:
-        _require(isinstance(item, dict), "each edge must be an object")
+        if not isinstance(item, dict):
+            raise GraphFormatError("each edge must be an object")
         for key in ("id", "src", "dst"):
-            _require(key in item, "edge missing %r" % key,
-                     item.get("id"))
-            _require(isinstance(item[key], str),
-                     "edge field %r must be a string" % key, item.get("id"))
-        eid = item["id"]
-        _require(eid not in eids, "duplicate edge id %r" % eid, eid)
+            if key not in item:
+                raise GraphFormatError("edge missing %r" % key,
+                                       item.get("id"))
+            if not isinstance(item[key], str):
+                raise GraphFormatError("edge field %r must be a string" % key,
+                                       item.get("id"))
+        eid, src, dst = item["id"], item["src"], item["dst"]
+        if eid in eids:
+            raise GraphFormatError("duplicate edge id %r" % eid, eid)
         eids.add(eid)
-        _require(item["src"] in vset,
-                 "edge %r has dangling source %r" % (eid, item["src"]), eid)
-        _require(item["dst"] in vset,
-                 "edge %r has dangling target %r" % (eid, item["dst"]), eid)
+        if src not in vset:
+            raise GraphFormatError(
+                "edge %r has dangling source %r" % (eid, src), eid)
+        if dst not in vset:
+            raise GraphFormatError(
+                "edge %r has dangling target %r" % (eid, dst), eid)
         weight = item.get("weight", 1)
-        _require(isinstance(weight, int) and not isinstance(weight, bool),
-                 "edge %r has non-integer weight %r" % (eid, weight), eid)
-        edges.append(Edge(eid=eid, src=item["src"], dst=item["dst"],
-                          weight=weight))
+        if not isinstance(weight, int) or isinstance(weight, bool):
+            raise GraphFormatError(
+                "edge %r has non-integer weight %r" % (eid, weight), eid)
+        edges.append(Edge(eid=eid, src=src, dst=dst, weight=weight))
     return Graph(vertices=vertices, edges=tuple(edges))
 
 

@@ -58,25 +58,6 @@ def _int_vector(vec) -> tuple[int, ...]:
     return tuple(_require_int(x, "vector entries") for x in vec)
 
 
-def _sparse_product(nonzeros, right, ncols) -> list[list[int]]:
-    """Rows of the product L R, with L given by the nonzeros [(k, x), ...]
-    of each of its rows and R by its rows ``right`` of length ncols. Row i
-    is the sum of x * right[k] over the nonzeros of row i of L, added one
-    term at a time, and x = 1 is not multiplied out."""
-    out = []
-    for terms in nonzeros:
-        if not terms:
-            out.append([0] * ncols)
-            continue
-        k, x = terms[0]
-        acc = list(right[k]) if x == 1 else [x * y for y in right[k]]
-        for k, x in terms[1:]:
-            acc = (list(map(add, acc, right[k])) if x == 1
-                   else [s + x * y for s, y in zip(acc, right[k])])
-        out.append(acc)
-    return out
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable dense integer matrix.
@@ -130,16 +111,28 @@ class IntMatrix:
         return IntMatrix(rows, self.nrows)
 
     def __matmul__(self, other):
-        """Product through ``_sparse_product``, so the cost follows the
-        nonzeros of self, not its size."""
+        """Row i of the product is the sum of x * other.rows[k] over the
+        nonzeros x of row i of self, added one term at a time, and x = 1 is
+        not multiplied out, so the cost follows the nonzeros of self, not
+        its size."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch: %s @ %s" % (self.shape, other.shape))
-        nonzeros = [[(k, x) for k, x in enumerate(row) if x]
-                    for row in self.rows]
-        out = _sparse_product(nonzeros, other.rows, other.ncols)
-        return IntMatrix(tuple(map(tuple, out)), other.ncols)
+        right, ncols = other.rows, other.ncols
+        out = []
+        for row in self.rows:
+            terms = [(k, x) for k, x in enumerate(row) if x]
+            if not terms:
+                out.append((0,) * ncols)
+                continue
+            k, x = terms[0]
+            acc = right[k] if x == 1 else [x * y for y in right[k]]
+            for k, x in terms[1:]:
+                acc = (list(map(add, acc, right[k])) if x == 1
+                       else [s + x * y for s, y in zip(acc, right[k])])
+            out.append(tuple(acc))
+        return IntMatrix(tuple(out), ncols)
 
     def apply(self, vec):
         """Matrix-vector product, vec given as a sequence of ints."""

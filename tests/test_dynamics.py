@@ -1,6 +1,7 @@
 import hashlib
 import json
 from itertools import product
+from math import comb
 from random import Random
 
 import pytest
@@ -407,11 +408,51 @@ class TestSpectrum:
     def test_row_sum_two_agrees_with_determinant(self, n):
         self.agrees_with_determinant(row_sum_two(n, n))
 
-    @pytest.mark.parametrize("n", [20, 40, 60])
+    @pytest.mark.parametrize("n", [20, 40, 60, 80])
     def test_row_sum_two_matches_reference(self, n):
         a = row_sum_two(n, n)
         assert characteristic_polynomial(a) == \
             reference_characteristic_polynomial(a)
+
+    def test_empty_and_one_by_one(self):
+        assert characteristic_polynomial(IntMatrix((), 0)) == (1,)
+        for x in (0, 1, -1, 7, -7, 10 ** 40, -10 ** 40):
+            assert characteristic_polynomial(mat([[x]])) == (1, -x)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("rho", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_scalar_reaches_slot_bound(self, n, rho, sign):
+        """(+-rho I)^n has the entries +-rho^n, the bound the slot width
+        is taken from; det(tI - s I) = (t - s)^n."""
+        s = sign * rho
+        a = IntMatrix(tuple(tuple(s * (i == j) for j in range(n))
+                            for i in range(n)), n)
+        expect = tuple(comb(n, k) * (-s) ** k for k in range(n + 1))
+        assert characteristic_polynomial(a) == expect
+        assert reference_characteristic_polynomial(a) == expect
+
+    @pytest.mark.parametrize("c", [-4, -3, -2, -1, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_constant_matrix(self, n, c):
+        """c J, every entry c: its row sums are |c| n and
+        (c J)^k = c^k n^(k-1) J, so det(tI - c J) = t^(n-1) (t - c n)."""
+        a = IntMatrix(((c,) * n,) * n, n)
+        expect = (1, -c * n) + (0,) * (n - 1)
+        assert characteristic_polynomial(a) == expect
+        assert reference_characteristic_polynomial(a) == expect
+
+    def test_nilpotent_with_huge_entries(self):
+        """A strictly upper triangular matrix with entries up to 10^30,
+        conjugated by a permutation: its powers reach 10^90 before A^4 = 0,
+        and det(tI - A) = t^4."""
+        big = 10 ** 30
+        upper = [[0, big, -3, 1], [0, 0, -big, 5], [0, 0, 0, big],
+                 [0, 0, 0, 0]]
+        for rows in (upper, permute(upper, [2, 0, 3, 1])):
+            a = mat(rows)
+            assert characteristic_polynomial(a) == (1, 0, 0, 0, 0)
+            assert reference_characteristic_polynomial(a) == (1, 0, 0, 0, 0)
 
     @given(st.data())
     def test_matches_reference(self, data):

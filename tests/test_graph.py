@@ -1,14 +1,15 @@
 import json
+from collections import OrderedDict
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grhom.corpus import enumerate_multigraphs, random_graph
 from grhom.graph import (Edge, Graph, GraphFormatError, StagedGraph,
                          VertexClass, adjacency, classify_vertices,
                          covering_graph, enumerate_paths, graph_from_dict,
                          graph_to_dict, make_path, parse_graph, path_range,
-                         path_weight, serialize_graph)
+                         path_weight, serialize_graph, _require)
 from grhom.intlinalg import mat_pow
 from random import Random
 
@@ -44,6 +45,103 @@ def flatten(staged):
                          weight=staged.base.edge(e.eid).weight)
                     for e in staged.edges),
     )
+
+
+def reference_graph_from_dict(obj) -> Graph:
+    """``graph_from_dict`` with every check run, in order, on every vertex
+    and edge: the reference for the result and for the first error."""
+    _require(isinstance(obj, dict), "graph document must be a JSON object")
+    _require("vertices" in obj, "missing 'vertices'")
+    _require("edges" in obj, "missing 'edges'")
+    raw_vs, raw_es = obj["vertices"], obj["edges"]
+    _require(isinstance(raw_vs, list), "'vertices' must be a list")
+    _require(isinstance(raw_es, list), "'edges' must be a list")
+    seen = set()
+    for v in raw_vs:
+        _require(isinstance(v, str), "vertex ids must be strings", v)
+        _require(v not in seen, "duplicate vertex id %r" % v, v)
+        seen.add(v)
+    vertices = tuple(raw_vs)
+    vset = seen
+    edges = []
+    eids = set()
+    for item in raw_es:
+        _require(isinstance(item, dict), "each edge must be an object")
+        for key in ("id", "src", "dst"):
+            _require(key in item, "edge missing %r" % key,
+                     item.get("id"))
+            _require(isinstance(item[key], str),
+                     "edge field %r must be a string" % key, item.get("id"))
+        eid = item["id"]
+        _require(eid not in eids, "duplicate edge id %r" % eid, eid)
+        eids.add(eid)
+        _require(item["src"] in vset,
+                 "edge %r has dangling source %r" % (eid, item["src"]), eid)
+        _require(item["dst"] in vset,
+                 "edge %r has dangling target %r" % (eid, item["dst"]), eid)
+        weight = item.get("weight", 1)
+        _require(isinstance(weight, int) and not isinstance(weight, bool),
+                 "edge %r has non-integer weight %r" % (eid, weight), eid)
+        edges.append(Edge(eid=eid, src=item["src"], dst=item["dst"],
+                          weight=weight))
+    return Graph(vertices=vertices, edges=tuple(edges))
+
+
+class StrSub(str):
+    pass
+
+
+class IntSub(int):
+    pass
+
+
+MISSING = object()
+
+
+def mostly(valid, invalid):
+    """A value from ``valid`` in nine draws of ten, else one from
+    ``invalid``."""
+    return st.sampled_from(range(10)).flatmap(
+        lambda k: st.sampled_from(invalid if k == 9 else valid))
+
+
+@st.composite
+def graph_documents(draw):
+    """Graph documents over the vertices a, b, c that are mostly well
+    formed: now and then a vertex, an edge or one of its fields is
+    malformed (a non-dict edge, a missing or non-str id/src/dst, a
+    duplicate vertex or edge id, a dangling endpoint, a bool, float or str
+    weight) or of a subclass of str, int or dict, which is valid."""
+    names = ["a", "b", "c"]
+    vertices = draw(st.permutations(names))
+    if draw(st.booleans()):
+        vertices.append(draw(st.sampled_from(["a", 0, None, StrSub("d")])))
+    endpoint = mostly(names, ["z", 1, None, StrSub("a"), MISSING])
+    weight = mostly([MISSING, 1, 2, 0, -3, 10 ** 20],
+                    [True, False, 1.0, 2.5, "2", IntSub(4), None])
+    edges = []
+    for k in range(draw(st.integers(0, 4))):
+        fields = {"id": draw(mostly(["e%d" % k],
+                                    [MISSING, 5, None, StrSub("e9"), "e0"])),
+                  "src": draw(endpoint), "dst": draw(endpoint),
+                  "weight": draw(weight)}
+        item = {key: v for key, v in fields.items() if v is not MISSING}
+        kind = draw(mostly(["dict"], ["ordered", "list", "str", "none"]))
+        if kind == "ordered":
+            item = OrderedDict(item)
+        elif kind != "dict":
+            item = {"list": [item], "str": "edge", "none": None}[kind]
+        edges.append(item)
+    return {"vertices": vertices, "edges": edges}
+
+
+def outcome(parse, doc):
+    """The graph and its weight types, or the error message and offender."""
+    try:
+        g = parse(doc)
+    except GraphFormatError as exc:
+        return "error", str(exc), exc.offender
+    return g, [type(e.weight) for e in g.edges]
 
 
 class TestParsing:
@@ -90,6 +188,22 @@ class TestParsing:
     def test_roundtrip(self, graph_e):
         again = parse_graph(serialize_graph(graph_e))
         assert again == graph_e
+
+    @settings(max_examples=400)
+    @given(graph_documents())
+    # a bool weight and subclasses of int, str and dict are rarely drawn
+    # on an otherwise valid edge, so they are also pinned here
+    @example({"vertices": ["a"], "edges": [
+        {"id": "e0", "src": "a", "dst": "a", "weight": True}]})
+    @example({"vertices": ["a"], "edges": [
+        {"id": "e0", "src": "a", "dst": "a", "weight": IntSub(4)}]})
+    @example({"vertices": ["a", StrSub("b")], "edges": [
+        {"id": StrSub("e0"), "src": StrSub("a"), "dst": "b"}]})
+    @example({"vertices": ["a"], "edges": [
+        OrderedDict(id="e0", src="a", dst="a", weight=2)]})
+    def test_matches_reference(self, doc):
+        assert outcome(graph_from_dict, doc) == \
+            outcome(reference_graph_from_dict, doc)
 
     def test_to_dict_explicit_weights(self, graph_f):
         d = graph_to_dict(graph_f)
