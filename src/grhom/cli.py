@@ -52,52 +52,49 @@ def _staged_terms(graph, sv: StagedVector) -> list[dict]:
     return terms
 
 
-def _base_report(graph) -> dict:
+def _report(graph, fields) -> dict:
+    """A single-graph report: the graph's vertex order, the conventions,
+    then ``fields``."""
     return {"vertex_order": list(graph.vertices),
-            "conventions": dict(_CONVENTIONS)}
+            "conventions": dict(_CONVENTIONS), **fields}
 
 
 def _cmd_h0(args) -> dict:
     g = load_graph(args.file)
     pres = h0_presentation(g)
     group = h0(g)
-    report = _base_report(g)
-    report.update({
+    return _report(g, {
         "relation_matrix": pres.relations.to_decimal_rows(),
         "regular_vertices": list(pres.regular_vertices),
         "group": group.to_dict(),
         "group_description": group.describe(),
     })
-    return report
 
 
 def _cmd_h0gr(args) -> dict:
     g = load_graph(args.file)
     m = graded_module(g)
-    report = _base_report(g)
     if args.equals is not None:
         if args.cap is not None:
             raise ValueError("--cap applies only to --positive")
         lhs = parse_staged_expression(m, args.equals[0])
         rhs = parse_staged_expression(m, args.equals[1])
-        report.update({
+        return _report(g, {
             "mode": "equals",
             "lhs": {"terms": _staged_terms(g, lhs)},
             "rhs": {"terms": _staged_terms(g, rhs)},
             "equal": equals(m, lhs, rhs),
         })
-    else:
-        cap = 10 if args.cap is None else args.cap
-        if cap < 0:
-            raise ValueError("--cap must be nonnegative")
-        v = parse_staged_expression(m, args.positive)
-        report.update({
-            "mode": "positive",
-            "element": {"terms": _staged_terms(g, v)},
-            "cap": cap,
-            "verdict": is_positive(m, v, cap).value,
-        })
-    return report
+    cap = 10 if args.cap is None else args.cap
+    if cap < 0:
+        raise ValueError("--cap must be nonnegative")
+    v = parse_staged_expression(m, args.positive)
+    return _report(g, {
+        "mode": "positive",
+        "element": {"terms": _staged_terms(g, v)},
+        "cap": cap,
+        "verdict": is_positive(m, v, cap).value,
+    })
 
 
 def _cmd_cover(args) -> dict:
@@ -105,8 +102,7 @@ def _cmd_cover(args) -> dict:
     if args.min > args.max:
         raise ValueError("--min must not exceed --max")
     staged = covering_graph(g, (args.min, args.max))
-    report = _base_report(g)
-    report.update({
+    return _report(g, {
         "window": {"min": staged.window[0], "max": staged.window[1]},
         "vertices": [{"vertex": v, "stage": n} for v, n in staged.vertices],
         "edges": [{"id": e.eid, "stage": e.stage,
@@ -114,7 +110,6 @@ def _cmd_cover(args) -> dict:
                    "dst": {"vertex": e.dst[0], "stage": e.dst[1]}}
                   for e in staged.edges],
     })
-    return report
 
 
 def _cmd_paths(args) -> dict:
@@ -125,14 +120,12 @@ def _cmd_paths(args) -> dict:
     counts = [0] * (args.max_len + 1)
     for p in paths:
         counts[len(p)] += 1
-    report = _base_report(g)
-    report.update({
+    return _report(g, {
         "max_len": args.max_len,
         "counts_by_length": counts,
         "paths": [{"source": p.source, "edges": list(p.edges)}
                   for p in paths],
     })
-    return report
 
 
 def _cmd_nf(args) -> dict:
@@ -148,43 +141,37 @@ def _cmd_nf(args) -> dict:
     special = SpecialEdgeChoice.default(g, overrides=overrides or None)
     x = parse_diagonal_expression(g, args.expr)
     nf = normal_form(g, x, special=special)
-    report = _base_report(g)
-    report.update({
+    return _report(g, {
         "expression": args.expr,
         "special_edges": special.to_dict(),
         "normal_form": [{"coeff": c, "source": p.source,
                          "edges": list(p.edges)}
                         for p, c in nf.items()],
     })
-    return report
 
 
 def _cmd_oracle(args) -> dict:
     g = load_graph(args.file)
     group = h0_bruteforce_oracle(g, args.max_len)
     direct = h0(g)
-    report = _base_report(g)
-    report.update({
+    return _report(g, {
         "max_len": args.max_len,
         "group": group.to_dict(),
         "group_description": group.describe(),
         "h0_group": direct.to_dict(),
         "matches_h0": group == direct,
     })
-    return report
 
 
 def _cmd_exactness(args) -> dict:
     g = load_graph(args.file)
     result = verify_exact_sequence(g)
-    report = _base_report(g)
-    report.update({
+    return _report(g, {
         "sigma_lambda_zero": result["sigma_lambda_zero"],
         "coker_lambda_equals_h0": result["coker_lambda_equals_h0"],
         "h0_group": result["h0_group"].to_dict(),
         "coker_lambda_group": result["coker_lambda_group"].to_dict(),
     })
-    return report
 
 
 def _cmd_compare(args) -> dict:
@@ -192,28 +179,22 @@ def _cmd_compare(args) -> dict:
     g2 = load_graph(args.file2)
     budget = SearchBudget(max_lag=args.max_lag, entry_bound=args.entry_bound)
     result = eventual_conjugacy_verdict(g1, g2, budget)
-    report = {
-        "left_vertex_order": list(g1.vertices),
-        "right_vertex_order": list(g2.vertices),
-        "conventions": dict(_CONVENTIONS),
-    }
-    report.update(result.to_dict())
-    return report
+    return {"left_vertex_order": list(g1.vertices),
+            "right_vertex_order": list(g2.vertices),
+            "conventions": dict(_CONVENTIONS), **result.to_dict()}
 
 
 def _cmd_triple(args) -> dict:
     g = load_graph(args.file)
     triple = dimension_triple(g)
     group = triple.group()
-    report = _base_report(g)
-    report.update({
+    return _report(g, {
         "transposed_adjacency": triple.at.to_decimal_rows(),
         "eventual_kernel_basis": triple.eventual_kernel_basis.to_decimal_rows(),
         "group": group.to_dict(),
         "group_description": group.describe(),
         "automorphism": "multiplication by the transposed adjacency matrix",
     })
-    return report
 
 
 @functools.cache

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .graph import Graph, Path, _split_terms, make_path, path_range
+from .intlinalg import _require_int
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,13 @@ class DiagonalElement:
         return DiagonalElement(terms={p: -c for p, c in self.terms.items()})
 
     def scale(self, c: int):
+        if type(c) is not int:
+            c = _require_int(c, "scalars")
         if c == 0:
             return DiagonalElement.zero()
         return DiagonalElement(terms={p: c * k for p, k in self.terms.items()})
 
     def __rmul__(self, c):
-        if not isinstance(c, int):
-            return NotImplemented
         return self.scale(c)
 
     def __eq__(self, other):

@@ -34,6 +34,7 @@ class ShiftEquivalenceCertificate:
     lag: int
 
     def __post_init__(self):
+        _require_int(self.lag, "lags")
         if self.lag < 1:
             raise ValueError("lag must be at least 1, got %d" % self.lag)
 

@@ -26,9 +26,8 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import (Graph, VertexClass, _looks_like_int, _split_terms,
-                    adjacency, check_positive_weights, check_unit_sink_free,
-                    classify_vertices)
+from .graph import (Graph, _looks_like_int, _split_terms, adjacency,
+                    check_positive_weights, check_unit_sink_free)
 from .homology import Verdict, h0
 from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, _require_int,
                         cokernel, eventual_kernel, mat_pow_apply,
@@ -84,6 +83,8 @@ class StagedVector:
         return self.stages[-1][0]
 
     def shift(self, k: int) -> "StagedVector":
+        if type(k) is not int:
+            k = _require_int(k, "shifts")
         return StagedVector(stages=tuple((n + k, vec)
                                          for n, vec in self.stages))
 
@@ -112,25 +113,41 @@ class StagedVector:
                                          for n, vec in self.stages))
 
     def scale(self, c: int) -> "StagedVector":
+        if type(c) is not int:
+            c = _require_int(c, "scalars")
         if c == 0:
             return StagedVector.zero()
         return StagedVector(stages=tuple((n, tuple(c * x for x in vec))
                                          for n, vec in self.stages))
 
     def __rmul__(self, c):
-        if not isinstance(c, int):
-            return NotImplemented
         return self.scale(c)
 
 
 @dataclass(frozen=True)
 class GradedModule:
-    """Presentation data for the graded module of a weighted graph."""
+    """The graded module of a weighted graph, whose weights must be at
+    least 1. The other attributes are read from the graph, so they cannot
+    contradict it; like the graph, the module is immutable."""
 
     graph: Graph
-    regular: tuple[bool, ...]
-    stabilization_bound: int
-    max_weight: int
+
+    def __post_init__(self):
+        check_positive_weights(self.graph, "the graded module")
+
+    @cached_property
+    def regular(self) -> tuple[bool, ...]:
+        """Per vertex index, whether the vertex emits an edge."""
+        g = self.graph
+        return tuple(bool(g.out_edges(v)) for v in g.vertices)
+
+    @property
+    def stabilization_bound(self) -> int:
+        return len(self.graph.vertices)
+
+    @cached_property
+    def max_weight(self) -> int:
+        return self.graph.max_weight()
 
     @cached_property
     def _out(self):
@@ -163,14 +180,7 @@ class GradedModule:
 
 
 def graded_module(g: Graph) -> GradedModule:
-    check_positive_weights(g, "the graded module")
-    classes = classify_vertices(g)
-    return GradedModule(
-        graph=g,
-        regular=tuple(classes[v] is VertexClass.REGULAR for v in g.vertices),
-        stabilization_bound=len(g.vertices),
-        max_weight=g.max_weight(),
-    )
+    return GradedModule(g)
 
 
 def x_action(v: StagedVector, k: int) -> StagedVector:

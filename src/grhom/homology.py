@@ -13,10 +13,12 @@ path generators used as an oracle for the vertex presentation.
 A graph's presentation is built once per ``Graph`` instance, as sparse
 rows read from the out-edges, and carries the Smith decomposition of the
 one sparse elimination, computed on first use and shared by every query
-on the graph. Coordinates read only the rows of u whose factor is not 1,
-walked back through its log once per graph; ``h0`` hands a copy of the
-rows to ``sparse_cokernel``. Only reports and tests build the dense
-matrix. The oracle also writes its relations as sparse rows.
+on the graph. Coordinates replay the Smith log forward once per vector
+(``SmithDecomposition.u_apply``), and the Negative certificate of
+``h0_is_positive`` reads the kernel rows of u walked back through it;
+``h0`` hands a copy of the rows to ``sparse_cokernel``. Only reports and
+tests build the dense matrix. The oracle also writes its relations as
+sparse rows.
 """
 
 from __future__ import annotations
@@ -65,15 +67,6 @@ class H0Presentation:
         return self.sparse(sparse_smith_normal_form)
 
     @cached_property
-    def coordinate_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(factor, row of u) for the rows of u whose factor is not 1, a row
-        past the diagonal having factor 0: the rows the coordinates read."""
-        f = self.smith.factors
-        f += (0,) * (len(self.vertex_order) - len(f))
-        keep = [i for i, d in enumerate(f) if d != 1]
-        return tuple(zip([f[i] for i in keep], self.smith.u_rows(keep)))
-
-    @cached_property
     def relations(self) -> IntMatrix:
         """The dense relation matrix, for reports and tests."""
         n = len(self.regular_vertices)
@@ -120,19 +113,22 @@ def h0(g: Graph) -> FpAbelianGroup:
 def _class_coordinates(g: Graph, vec):
     """The prologue shared by ``h0_class`` and ``h0_is_positive``.
 
-    Checks vec against the presentation and reads its coordinates from the
-    rows of u whose factor is not 1. Returns the presentation, vec as a
-    tuple and the coordinates ``h0_class`` returns.
+    Checks vec against the presentation and reads its coordinates from
+    u @ vec, the Smith log replayed forward once: the entries whose factor
+    is 0 (a row past the diagonal has factor 0) are free, those whose
+    factor d exceeds 1 are taken modulo d. Returns the presentation, vec as
+    a tuple and the coordinates ``h0_class`` returns.
     """
     pres = h0_presentation(g)
     vec = _int_vector(vec)
     if len(vec) != len(pres.vertex_order):
         raise ValueError("vector length %d does not match %d vertices"
                          % (len(vec), len(pres.vertex_order)))
-    y = [(d, sum(a * b for a, b in zip(row, vec)))
-         for d, row in pres.coordinate_rows]
-    free = tuple(yi for d, yi in y if d == 0)
-    residues = tuple(yi % d for d, yi in y if d > 1)
+    dec = pres.smith
+    y = dec.u_apply(vec)
+    f = dec.factors
+    free = tuple(y[i] for i in range(len(y)) if i >= len(f) or f[i] == 0)
+    residues = tuple(yi % d for yi, d in zip(y, f) if d > 1)
     return pres, vec, free + residues
 
 

@@ -15,15 +15,19 @@ row-major-first entry of smallest |x|; a nonnegative diagonal; quotients
 position order, that p does not divide. So u and the factors are those of
 the dense elimination; u fixes the coordinates of ``homology.h0_class``.
 
-u is not built forward. Row operations are logged as (k, src, q), "row k
-+= q * row src", a negation of row k as (k, k, -2). Over row ids they
-multiply out to U = E_N ... E_1 with E = I + q e_k e_src^T. A swap only
-moves ids in ``order``, and an operation on positions a and b is the one
-on ids order[a] and order[b], so row r of u is e_{order[r]}^T U. As
+u is never built as a matrix: the log is its only form. Row operations
+are logged as (k, src, q), "row k += q * row src", a negation of row k as
+(k, k, -2). Over row ids they multiply out to U = E_N ... E_1 with
+E = I + q e_k e_src^T. A swap only moves ids in ``order``, and an
+operation on positions a and b is the one on ids order[a] and order[b],
+so row r of u is e_{order[r]}^T U. ``SmithDecomposition.u_apply`` gives
+u @ vec by replaying the log forward on a copy of vec, w_k += q * w_src
+(for (k, k, -2) that flips w_k), and reading w in ``order``: one pass per
+vector, which is how ``homology.h0_class`` gets its coordinates. As
 w E = w + q w_k e_src^T, ``SmithDecomposition.u_rows`` starts from
-e_{order[r]} and walks the log backwards, adding q * w_k to w_src (for
-(k, k, -2) that flips w_k), for the rows a caller reads: ``_left_kernel``
-those with factor 0 or past the diagonal, the source of every kernel.
+e_{order[r]} and walks the log backwards, adding q * w_k to w_src, for
+the rows of u that kernels read: ``_left_kernel`` takes those with factor
+0 or past the diagonal, the source of every kernel.
 
 ``smith_normal_form`` scans a dense matrix into rows for
 ``sparse_smith_normal_form``. ``invariant_factors`` (behind ``cokernel``)
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add
 
 
@@ -180,9 +183,14 @@ class SmithDecomposition:
             out.append(tuple(w))
         return tuple(out)
 
-    @cached_property
-    def u(self) -> IntMatrix:
-        return IntMatrix(self.u_rows(range(len(self.order))), len(self.order))
+    def u_apply(self, vec) -> tuple[int, ...]:
+        """u @ vec, the log replayed forward on a copy of vec (see the
+        module docstring); vec is a sequence of len(order) ints."""
+        w = list(vec)
+        for k, src, q in self.log:
+            if w[src]:
+                w[k] += q * w[src]
+        return tuple(w[i] for i in self.order)
 
 
 @dataclass(frozen=True)
@@ -217,13 +225,16 @@ class FpAbelianGroup:
 
 
 def _add_row(rows, cols, i, q, src):
-    """rows[i] += q * rows[src], keeping the column sets ``cols``."""
+    """rows[i] += q * rows[src] for q != 0, keeping the column sets
+    ``cols``: the one sparse row update of both eliminations. As q != 0,
+    an entry new to rows[i] is nonzero."""
     row = rows[i]
     for j, x in rows[src].items():
-        y = row.get(j, 0) + q * x
-        if y:
-            if j not in row:
-                cols[j].add(i)
+        y = row.get(j)
+        if y is None:
+            row[j] = q * x
+            cols[j].add(i)
+        elif y := y + q * x:
             row[j] = y
         else:
             del row[j]
@@ -350,11 +361,14 @@ def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
     never the result, which equals ``smith_normal_form(a).factors``: the
     units, the nonzero core factors, then zeros up to min(nrows, ncols).
 
-    A step writes entries only in the columns of the pivot row, and only
-    their counts change, so each of those columns is pushed again at its
-    new count. Every other column keeps its entries and its current key,
-    or was popped without a unit and still has none. So a column holding a
-    unit always has a current key, and the loop ends with no unit left.
+    The other rows are updated by ``_add_row``, as in ``_eliminate``; a
+    spent pivot column stays in ``cols`` as an empty set, which the core
+    leaves out. A step writes entries only in the columns of the pivot
+    row, and only their counts change, so each of those columns is pushed
+    again at its new count. Every other column keeps its entries and its
+    current key, or was popped without a unit and still has none. So a
+    column holding a unit always has a current key, and the loop ends with
+    no unit left.
     """
     cols = {}
     for i, row in rows.items():
@@ -365,34 +379,21 @@ def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
     units = 0
     while heap:
         count, j = heapq.heappop(heap)
-        col = cols.get(j)
-        if col is None or len(col) != count:
+        col = cols[j]
+        if len(col) != count:
             continue
         candidates = [(len(rows[k]), k) for k in col if rows[k][j] in (1, -1)]
         if not candidates:
             continue
         i = min(candidates)[1]
+        u = rows[i][j]
+        for k in [k for k in col if k != i]:
+            _add_row(rows, cols, k, -rows[k][j] * u, i)
+            if not rows[k]:
+                del rows[k]
         prow = rows.pop(i)
-        u = prow.pop(j)
         for jj in prow:
             cols[jj].discard(i)
-        del cols[j]
-        col.discard(i)
-        for k in col:
-            row = rows[k]
-            q = row.pop(j) * u
-            for jj, x in prow.items():
-                y = row.get(jj, 0) - q * x
-                if y:
-                    if jj not in row:
-                        cols[jj].add(k)
-                    row[jj] = y
-                else:
-                    del row[jj]
-                    cols[jj].discard(k)
-            if not row:
-                del rows[k]
-        for jj in prow:
             if cols[jj]:
                 heapq.heappush(heap, (len(cols[jj]), jj))
         units += 1
@@ -509,6 +510,7 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     if a.nrows != a.ncols:
         raise ValueError("matrix power requires a square matrix, got %s"
                          % (a.shape,))
+    k = _require_int(k, "powers")
     if k < 0:
         raise ValueError("negative matrix power")
     out = IntMatrix.identity(a.nrows)
@@ -524,6 +526,7 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
 
 def mat_pow_apply(a: IntMatrix, vec, k: int):
     """a^k applied to vec by k successive multiplications."""
+    k = _require_int(k, "powers")
     if k < 0:
         raise ValueError("negative matrix power")
     vec = _int_vector(vec)

@@ -6,13 +6,14 @@ for the window oracle of the graded equality test;
 ``full_power_eventual_kernel`` is the eventual kernel read from a^n, the
 reference for the early stop of ``eventual_kernel``; ``row_sum_two`` builds
 the seeded sparse adjacency matrices of the eventual-kernel and
-characteristic-polynomial tests.
+characteristic-polynomial tests; ``full_u`` is the row transform of a Smith
+decomposition as a matrix, which the library keeps only as its log.
 """
 
 import random
 
-from grhom.intlinalg import (IntMatrix, _int_vector, kernel_basis, mat_pow,
-                             smith_normal_form)
+from grhom.intlinalg import (IntMatrix, SmithDecomposition, _int_vector,
+                             kernel_basis, mat_pow, smith_normal_form)
 
 
 def det(a: IntMatrix) -> int:
@@ -50,7 +51,7 @@ def in_column_span(a: IntMatrix, vec) -> bool:
         raise ValueError("dimension mismatch: vector length %d, matrix %s x %s"
                          % (len(vec), a.nrows, a.ncols))
     dec = smith_normal_form(a)
-    y = dec.u.apply(vec)
+    y = dec.u_apply(vec)
     limit = min(a.nrows, a.ncols)
     for i, yi in enumerate(y):
         d = dec.factors[i] if i < limit else 0
@@ -60,6 +61,13 @@ def in_column_span(a: IntMatrix, vec) -> bool:
         elif yi % d:
             return False
     return True
+
+
+def full_u(dec: SmithDecomposition) -> IntMatrix:
+    """The row transform u of ``dec`` as a matrix, every row walked back
+    through the log."""
+    m = len(dec.order)
+    return IntMatrix(dec.u_rows(range(m)), m)
 
 
 def full_power_eventual_kernel(a: IntMatrix) -> IntMatrix:

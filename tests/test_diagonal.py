@@ -170,6 +170,21 @@ class TestNormalForm:
             assert lhs == rhs
 
 
+class TestScale:
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, "2"])
+    def test_non_int_scalar_rejected(self, graph_f, bad):
+        x = unit(graph_f, ("e",))
+        with pytest.raises(ValueError, match="^scalars must be ints"):
+            x.scale(bad)
+        with pytest.raises(ValueError, match="^scalars must be ints"):
+            bad * x
+
+    def test_int_scalar(self, graph_f):
+        x = unit(graph_f, ("e",))
+        assert 3 * x == unit(graph_f, ("e",), coeff=3)
+        assert x.scale(0).is_zero()
+
+
 class TestMultiply:
     def test_prefix_absorbs(self, graph_f):
         x = multiply(unit(graph_f, ("e",)), unit(graph_f, ("e", "f")))

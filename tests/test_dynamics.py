@@ -264,6 +264,12 @@ class TestVerify:
                                            s=mat([[1], [1]]), lag=1)
         assert verify_shift_equivalence(A2, FULL2, cert)
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, "2"])
+    def test_non_int_lag_rejected(self, bad):
+        with pytest.raises(ValueError, match="^lags must be ints"):
+            ShiftEquivalenceCertificate(r=mat([[1, 1]]), s=mat([[1], [1]]),
+                                        lag=bad)
+
     def test_wrong_r_rejected(self):
         cert = ShiftEquivalenceCertificate(r=mat([[1, 0]]),
                                            s=mat([[1], [1]]), lag=1)

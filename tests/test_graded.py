@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 from random import Random
 
@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grhom.corpus import enumerate_multigraphs, random_graph
-from grhom.graded import (StagedVector, _decision_depth, dimension_triple,
+from grhom.graded import (GradedModule, StagedVector, _decision_depth,
+                          dimension_triple,
                           equals, graded_module, is_positive, lambda_map,
                           parse_staged_expression, pushdown, sigma_map,
                           verify_exact_sequence, x_action)
@@ -84,6 +85,26 @@ class TestStagedVector:
         v = sv({Tagged(3): (1,)})
         assert v.stages == ((3, (1,)),)
         assert type(v.stages[0][0]) is int
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, "2"])
+    def test_non_int_shift_and_scalar_rejected(self, bad):
+        v = sv({0: (1, 2)})
+        for call in (lambda: v.shift(bad), lambda: x_action(v, bad)):
+            with pytest.raises(ValueError, match="^shifts must be ints"):
+                call()
+        for call in (lambda: v.scale(bad), lambda: bad * v):
+            with pytest.raises(ValueError, match="^scalars must be ints"):
+                call()
+
+    def test_int_subclass_shift_and_scalar_stored_as_int(self):
+        class Tagged(int):
+            pass
+
+        v = sv({0: (1, 2)})
+        assert v.shift(Tagged(1)).stages == ((1, (1, 2)),)
+        assert type(v.shift(Tagged(1)).stages[0][0]) is int
+        assert (Tagged(3) * v).stages == ((0, (3, 6)),)
+        assert all(type(x) is int for x in v.scale(Tagged(3)).stages[0][1])
 
     def test_sign_predicates(self):
         assert sv({0: (1,), 1: (2,)}).is_nonneg()
@@ -343,6 +364,51 @@ class TestEquality:
             {"id": "e", "src": "u", "dst": "u", "weight": -1}]})
         with pytest.raises(ValueError):
             graded_module(g)
+
+
+class TestGradedModule:
+    """The module keeps only its graph; everything else is read from it."""
+
+    def test_graph_is_the_only_field(self):
+        assert [f.name for f in fields(GradedModule)] == ["graph"]
+
+    def test_constructor_rejects_weight_zero(self):
+        g = graph_from_dict({"vertices": ["u", "v"], "edges": [
+            {"id": "e", "src": "u", "dst": "v", "weight": 0},
+            {"id": "f", "src": "v", "dst": "v"}]})
+        with pytest.raises(ValueError, match="non-positive weight"):
+            GradedModule(g)
+
+    def test_derived_properties_match_graph(self):
+        rng = Random(79)
+        for _ in range(20):
+            g = random_graph(rng, 5, 7)
+            m = GradedModule(g)
+            assert m == graded_module(g)
+            assert m.regular == tuple(bool(g.out_edges(v))
+                                      for v in g.vertices)
+            assert m.stabilization_bound == len(g.vertices)
+            assert m.max_weight == g.max_weight()
+
+    def test_derived_properties_read_only(self, weighted_loop):
+        m = GradedModule(weighted_loop)
+        assert (m.regular, m.stabilization_bound, m.max_weight) == \
+            ((True,), 1, 2)
+        for name in ("graph", "regular", "stabilization_bound",
+                     "max_weight"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+
+    def test_merging_sources_equal(self):
+        """u -> w, v -> w, w -> w: a(u,0) and a(v,0) both expand to
+        a(w,-1), which no constructor argument can contradict now."""
+        g = graph_from_dict({"vertices": ["u", "v", "w"], "edges": [
+            {"id": "e", "src": "u", "dst": "w"},
+            {"id": "f", "src": "v", "dst": "w"},
+            {"id": "h", "src": "w", "dst": "w"}]})
+        m = GradedModule(g)
+        assert equals(m, parse_staged_expression(m, "a(u,0)"),
+                      parse_staged_expression(m, "a(v,0)"))
 
 
 def window_relation_matrix(m, lo, hi):

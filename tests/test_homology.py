@@ -476,7 +476,7 @@ class TestPresentationMemo:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(pres, name)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            pres.smith.u = None
+            pres.smith.log = None
         assert h0_presentation(graph_e).columns == ((0, -1), (-1, 1))
         assert h0_presentation(graph_e).smith is pres.smith
 

@@ -10,8 +10,8 @@ from grhom.intlinalg import (FpAbelianGroup, IntMatrix, cokernel,
                              invariant_factors, kernel_basis, mat_pow,
                              mat_pow_apply, smith_normal_form,
                              sparse_cokernel, sparse_smith_normal_form)
-from linalg_helpers import (det, full_power_eventual_kernel, in_column_span,
-                            row_sum_two)
+from linalg_helpers import (det, full_power_eventual_kernel, full_u,
+                            in_column_span, row_sum_two)
 
 
 def mat(rows, ncols=None):
@@ -328,8 +328,9 @@ class TestSmithNormalForm:
         s = IntMatrix(tuple(
             tuple(dec.factors[i] if i == j else 0 for j in range(a.ncols))
             for i in range(a.nrows)), a.ncols)
-        assert det(dec.u) in (1, -1)
-        assert (hermite_row_basis((dec.u @ a).transpose().rows, a.nrows)
+        u = full_u(dec)
+        assert det(u) in (1, -1)
+        assert (hermite_row_basis((u @ a).transpose().rows, a.nrows)
                 == hermite_row_basis(s.transpose().rows, a.nrows))
 
     @given(small_matrix())
@@ -351,60 +352,73 @@ def survey_pairs(rng, n, nedges, sinks):
 
 class TestDiagonalizeMatchesReference:
     """The sparse elimination with its row-operation log against the plain
-    dense elimination: the same factors, the same full u, and the same rows
-    of u from ``u_rows`` for any list of positions. The reference also
-    builds the diagonal and v, which the elimination does not keep. The
-    sparse invariant_factors is held to the reference's factors as well,
-    so its unit pivots and non-unit core face an independent elimination."""
+    dense elimination: the same factors, the same full u, the same rows of
+    u from ``u_rows`` for any list of positions, and the same u @ vec from
+    ``u_apply``, the log replayed forward. The reference also builds the
+    diagonal and v, which the elimination does not keep. The sparse
+    invariant_factors is held to the reference's factors as well, so its
+    unit pivots and non-unit core face an independent elimination."""
 
     @staticmethod
-    def check(a, positions):
+    def check(a, positions, vec):
         _, u, _, factors = reference_diagonalize(a, True)
+        u = IntMatrix(tuple(map(tuple, u)), a.nrows)
         dec = smith_normal_form(a)
         assert dec.factors == factors
-        assert dec.u == IntMatrix(tuple(map(tuple, u)), a.nrows)
-        assert dec.u_rows(positions) == tuple(tuple(u[r]) for r in positions)
+        assert full_u(dec) == u
+        assert dec.u_rows(positions) == tuple(u.rows[r] for r in positions)
+        assert dec.u_apply(vec) == u.apply(vec)
         assert invariant_factors(a) == factors
 
     @staticmethod
-    def positions(data, a):
-        if not a.nrows:
-            return []
-        return data.draw(st.lists(st.integers(0, a.nrows - 1), max_size=6))
+    def draw(data, a):
+        """Positions of rows of u and a vector of length a.nrows."""
+        positions = data.draw(st.lists(st.integers(0, a.nrows - 1),
+                                       max_size=6)) if a.nrows else []
+        vec = data.draw(st.lists(st.integers(-9, 9), min_size=a.nrows,
+                                 max_size=a.nrows))
+        return positions, vec
 
     @given(small_matrix(), st.data())
     def test_small(self, a, data):
-        self.check(a, self.positions(data, a))
+        self.check(a, *self.draw(data, a))
 
     @given(sparse_matrix(), st.data())
     def test_sparse(self, a, data):
-        self.check(a, self.positions(data, a))
+        self.check(a, *self.draw(data, a))
 
     @given(small_matrix(max_dim=8, max_entry=50), st.data())
     def test_dense_big_entries(self, a, data):
-        self.check(a, self.positions(data, a))
+        self.check(a, *self.draw(data, a))
 
     @pytest.mark.parametrize("sinks", [False, True])
     def test_relation_matrix_n120(self, seeded_graph, sinks):
         a = homology.h0_presentation(seeded_graph(120, 120, sinks)).relations
         assert (a.ncols < 120) == sinks
-        self.check(a, sorted(Random(7).sample(range(120), 20)))
+        rng = Random(7)
+        self.check(a, sorted(rng.sample(range(120), 20)),
+                   [rng.randint(-9, 9) for _ in range(120)])
 
     @pytest.mark.parametrize("sinks", [0, 16])
     def test_survey_coordinate_rows(self, sinks):
-        """On survey-shaped graphs with n = 160, the rows of u that the
-        class coordinates read are those of the reference."""
-        pairs = survey_pairs(Random(sinks), 160, 320, sinks)
+        """On survey-shaped graphs with n = 160, u @ vec from the replayed
+        log, which the class coordinates read, is that of the reference,
+        for unit vectors and a drawn vector."""
+        rng = Random(sinks)
+        pairs = survey_pairs(rng, 160, 320, sinks)
         g = graph_from_dict({
             "vertices": ["v%d" % i for i in range(160)],
             "edges": [{"id": "e%d" % k, "src": "v%d" % i, "dst": "v%d" % j}
                       for k, (i, j) in enumerate(pairs)]})
         pres = homology.h0_presentation(g)
         _, u, _, factors = reference_diagonalize(pres.relations, True)
-        factors += (0,) * (160 - len(factors))
-        assert pres.coordinate_rows == tuple(
-            (d, tuple(u[r])) for r, d in enumerate(factors) if d != 1)
-        assert sum(1 for d in factors if d != 1) >= sinks
+        u = IntMatrix(tuple(map(tuple, u)), 160)
+        vecs = [tuple(int(i == j) for j in range(160)) for i in range(160)]
+        vecs.append(tuple(rng.randint(-9, 9) for _ in range(160)))
+        for vec in vecs:
+            assert pres.smith.u_apply(vec) == u.apply(vec)
+        assert pres.smith.factors == factors
+        assert 160 - sum(1 for d in factors if d == 1) >= sinks
 
     def test_smith_normal_form_wraps_the_rows(self, seeded_graph):
         pres = homology.h0_presentation(seeded_graph(7, 30, True))
@@ -412,7 +426,7 @@ class TestDiagonalizeMatchesReference:
         _, u, _, factors = reference_diagonalize(a, True)
         dec = pres.sparse(sparse_smith_normal_form)
         assert dec == smith_normal_form(a)
-        assert dec.u == IntMatrix.from_rows(u, a.nrows)
+        assert full_u(dec) == IntMatrix.from_rows(u, a.nrows)
         assert dec.factors == factors
 
 
@@ -683,6 +697,14 @@ class TestPowersAndSpan:
         for _ in range(k):
             expected = expected @ a
         assert mat_pow(a, k) == expected
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, "2"])
+    def test_non_int_power_rejected(self, bad):
+        a = mat([[1, 1], [1, 0]])
+        with pytest.raises(ValueError, match="^powers must be ints"):
+            mat_pow(a, bad)
+        with pytest.raises(ValueError, match="^powers must be ints"):
+            mat_pow_apply(a, (1, 0), bad)
 
     def test_in_column_span(self):
         a = mat([[2, 0], [0, 3]])
