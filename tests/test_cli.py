@@ -1,8 +1,10 @@
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
+from time import perf_counter
 
 import pytest
 
@@ -10,6 +12,7 @@ import grhom
 from grhom.cli import main
 
 SRC = pathlib.Path(grhom.__file__).resolve().parent.parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +150,34 @@ class TestReports:
         assert doc["coker_lambda_equals_h0"] is True
         assert doc["h0_group"] == {"rank": 0, "torsion": []}
 
+    def test_exactness_heavy_edge(self, capsys, tmp_path):
+        """A unit loop at u and an edge u -> v of weight 10**9: only the
+        stages a relation touches are built, so the report is immediate.
+        The fresh process runs under a 1.5 GB address-space limit, so a
+        window of 10**9 stages fails there instead of filling memory."""
+        import resource
+
+        g = tmp_path / "heavy.json"
+        g.write_text(json.dumps({"vertices": ["u", "v"], "edges": [
+            {"id": "e", "src": "u", "dst": "u"},
+            {"id": "f", "src": "u", "dst": "v", "weight": 10 ** 9}]}))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1500 * 2 ** 20,) * 2)
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        fresh = subprocess.run([sys.executable, "-m", "grhom", "exactness",
+                                str(g)], capture_output=True, text=True,
+                               env=env, preexec_fn=limit, timeout=60)
+        assert fresh.returncode == 0, fresh.stderr
+        assert json.loads(fresh.stdout)["coker_lambda_equals_h0"] is True
+        start = perf_counter()
+        doc = run_json(capsys, "exactness", str(g))
+        assert perf_counter() - start < 1.0
+        assert doc["coker_lambda_group"] == {"rank": 1, "torsion": []}
+
     def test_compare_equivalent(self, capsys, data_dir):
         doc = run_json(capsys, "compare", path(data_dir, "graphF.json"),
                        path(data_dir, "full2shift.json"),
@@ -199,6 +230,31 @@ class TestReports:
             doc = run_json(capsys, *argv)
             assert "conventions" in doc
             assert "x_orientation" in doc["conventions"]
+
+
+def readme_cli_examples():
+    """The lines of the sh block under "## Command line" in README.md."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+class TestReadmeExamples:
+    def test_examples_found(self):
+        lines = readme_cli_examples()
+        assert len(lines) >= 9
+        assert all(line.startswith("grhom ") for line in lines)
+
+    @pytest.mark.parametrize("line", readme_cli_examples())
+    def test_example_runs(self, capsys, monkeypatch, line):
+        """Each example, run in process from the repository root, exits 0
+        and prints one JSON document."""
+        monkeypatch.chdir(ROOT)
+        argv = shlex.split(line)[1:]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, out
+        assert isinstance(json.loads(out), dict)
 
 
 class TestErrors:

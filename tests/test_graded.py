@@ -12,8 +12,8 @@ from grhom.graded import (GradedModule, StagedVector, _decision_depth,
                           parse_staged_expression, pushdown, sigma_map,
                           verify_exact_sequence, x_action)
 from grhom.graph import _looks_like_int, graph_from_dict, graph_to_dict
-from grhom.homology import Verdict, h0
-from grhom.intlinalg import IntMatrix
+from grhom.homology import Verdict, h0, h0_class
+from grhom.intlinalg import IntMatrix, sparse_cokernel
 from linalg_helpers import in_column_span
 
 
@@ -504,19 +504,48 @@ def lift(m, v):
         (s, vec + (0,) * (m.nvertices - len(vec))) for s, vec in v.stages))
 
 
+def delay_lines(g):
+    """The unit-weight delay-line graph of g: each vertex u gets a chain
+    u~k -> ... -> u~1 -> u of k = w_in(u) - 1 fresh vertices, w_in(u) the
+    largest weight of an edge into u, listed after g's own; an edge of
+    weight w into u becomes a unit edge into u~(w-1), or into u when
+    w = 1. The graded modules are isomorphic through a_v(n) -> a_v(n)."""
+    w_in = {v: 1 for v in g.vertices}
+    for e in g.edges:
+        w_in[e.dst] = max(w_in[e.dst], e.weight)
+    vertices = list(g.vertices)
+    edges = []
+    for u in g.vertices:
+        below = u
+        for i in range(1, w_in[u]):
+            name = "%s~%d" % (u, i)
+            vertices.append(name)
+            edges.append({"id": name, "src": name, "dst": below})
+            below = name
+    for e in g.edges:
+        dst = e.dst if e.weight == 1 else "%s~%d" % (e.dst, e.weight - 1)
+        edges.append({"id": e.eid, "src": e.src, "dst": dst})
+    return graph_from_dict({"vertices": vertices, "edges": edges})
+
+
+def regular_count(g):
+    return sum(1 for v in g.vertices if g.out_edges(v))
+
+
 class TestDecisionDepth:
-    """``equals`` on weighted graphs with and without sinks against two
-    independent results: equality on the unit-weight subdivision, and a
-    pushdown three times the decision depth."""
+    """``equals`` on weighted graphs with and without sinks against three
+    independent results: equality on the unit-weight subdivision and on
+    the delay-line graph, and a pushdown 3 * n * max_weight stages deep."""
 
     @staticmethod
     def check(m, a, b):
         verdict = equals(m, a, b)
-        m2 = graded_module(subdivide(m.graph))
-        assert equals(m2, lift(m2, a), lift(m2, b)) is verdict
+        for other in (subdivide(m.graph), delay_lines(m.graph)):
+            m2 = graded_module(other)
+            assert equals(m2, lift(m2, a), lift(m2, b)) is verdict
         d = a - b
         if not d.is_zero():
-            target = d.min_stage() - 3 * _decision_depth(m)
+            target = d.min_stage() - 3 * m.nvertices * m.max_weight
             assert pushdown(m, d, target).is_zero() is verdict
         return verdict
 
@@ -560,6 +589,87 @@ class TestDecisionDepth:
         assert graded_module(subdivide(g)).nvertices == 13
         assert self.check(m, m.generator("u", 5), m.generator("u", 0, 3))
         assert not self.check(m, m.generator("u", 4), m.generator("u", 0, 3))
+
+
+class TestDelayLineDepth:
+    """The decision depth is the regular-vertex count of the delay-line
+    graph, and never more than the old bound n * max_weight;
+    ``TestDecisionDepth.check`` compares the verdicts on the two graphs."""
+
+    @settings(max_examples=200)
+    @given(weighted_graphs(max_weight=8))
+    def test_depth_is_delay_line_regular_count(self, g):
+        m = graded_module(g)
+        depth = _decision_depth(m)
+        assert depth == regular_count(delay_lines(g))
+        assert depth <= m.nvertices * m.max_weight
+
+    def test_unit_weight_depth_is_regular_count(self, single_sink):
+        g = graph_from_dict({"vertices": ["u", "v", "w"], "edges": [
+            {"id": "e", "src": "u", "dst": "v"},
+            {"id": "f", "src": "v", "dst": "w"}]})
+        assert _decision_depth(graded_module(g)) == 2
+        assert _decision_depth(graded_module(single_sink)) == 0
+
+    @pytest.mark.parametrize("n, w, depth", [(20, 32, 51), (10, 64, 73),
+                                             (20, 16, 35), (10, 32, 41)])
+    def test_heavy_shapes(self, n, w, depth):
+        """The benchmark's heavy shapes: n regular vertices plus w - 1
+        delay stages into the heavy edge's target, against n * w."""
+        g = heavy_graph(Random(1000 * n + w), n, w)
+        m = graded_module(g)
+        assert _decision_depth(m) == depth
+        assert depth == regular_count(delay_lines(g))
+
+
+def covering_window_graph(g, lo, hi):
+    """The covering graph on stages lo..hi: the copy (v, s) keeps the
+    out-edges of v, each to (r(e), s - w(e)), when all of them land in the
+    window, and is a sink otherwise."""
+    vertices, edges = [], []
+    for s in range(lo, hi + 1):
+        for v in g.vertices:
+            vertices.append("%s@%d" % (v, s))
+            out = g.out_edges(v)
+            if all(s - e.weight >= lo for e in out):
+                edges += [{"id": "%s@%d" % (e.eid, s), "src": "%s@%d" % (v, s),
+                           "dst": "%s@%d" % (e.dst, s - e.weight)}
+                          for e in out]
+    return graph_from_dict({"vertices": vertices, "edges": edges})
+
+
+class TestCoveringWindowOracle:
+    """Equality against h0 of a truncated covering graph, decided by Smith
+    forms and not by any pushdown. The window reaches
+    n * max_weight + max_weight + 1 stages below the difference, so every
+    relation the old, deeper pushdown applied lies inside it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_graphs(max_vertices=3, max_weight=3), st.data())
+    def test_agrees_with_equals(self, g, data):
+        m = graded_module(g)
+        elements = staged_elements(m, max_stages=3, stage_range=3)
+        a = data.draw(elements)
+        b = data.draw(st.one_of(elements, st.just(a)))
+        if data.draw(st.booleans()):
+            regular = [v for i, v in enumerate(g.vertices) if m.regular[i]]
+            if regular:
+                vertex = data.draw(st.sampled_from(regular))
+                b = b + m.relation(vertex, data.draw(st.integers(-3, 3)))
+        d = a - b
+        if d.is_zero():
+            assert equals(m, a, b)
+            return
+        wmax = m.max_weight
+        lo = d.min_stage() - m.nvertices * wmax - wmax - 1
+        hi = d.max_stage()
+        cover = covering_window_graph(g, lo, hi)
+        vec = [0] * len(cover.vertices)
+        for s, stage_vec in d.stages:
+            for i, c in enumerate(stage_vec):
+                vec[(s - lo) * m.nvertices + i] = c
+        zero = not any(h0_class(cover, vec))
+        assert equals(m, a, b) is zero
 
 
 class TestPositivity:
@@ -663,6 +773,42 @@ class TestExactSequence:
             rep = verify_exact_sequence(g)
             assert rep["sigma_lambda_zero"] is True
             assert rep["coker_lambda_equals_h0"] is True
+
+    @settings(max_examples=150)
+    @given(weighted_graphs(max_weight=9))
+    def test_touched_stages_match_full_window(self, g):
+        rep = verify_exact_sequence(g)
+        assert rep["coker_lambda_group"] == full_window_coker_lambda(g)
+        assert rep["coker_lambda_equals_h0"] is True
+
+
+def full_window_coker_lambda(g):
+    """The cokernel of (x - 1) from every stage between 1 - max_weight and
+    1, as ``verify_exact_sequence`` built it before it kept only the
+    stages a relation touches."""
+    m = graded_module(g)
+    n = m.nvertices
+    stages = list(range(1 - m.max_weight, 2))
+    pos = {s: i for i, s in enumerate(stages)}
+    rows = {}
+    ncols = 0
+
+    def put(stage, vidx, x):
+        row = rows.setdefault(pos[stage] * n + vidx, {})
+        row[ncols] = row.get(ncols, 0) + x
+
+    for j in range(n):
+        if m.regular[j]:
+            put(1, j, 1)
+            for tgt, w in m._out[j]:
+                put(1 - w, tgt, -1)
+            ncols += 1
+    for s in stages[:-1]:
+        for j in range(n):
+            put(s + 1, j, 1)
+            put(s, j, -1)
+            ncols += 1
+    return sparse_cokernel(rows, len(stages) * n, ncols)
 
 
 class TestDimensionTriple:
