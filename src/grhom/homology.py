@@ -18,7 +18,10 @@ on the graph. Coordinates replay the Smith log forward once per vector
 ``h0_is_positive`` reads the kernel rows of u walked back through it;
 ``h0`` hands a copy of the rows to ``sparse_cokernel``. Only reports and
 tests build the dense matrix. The oracle also writes its relations as
-sparse rows.
+sparse rows, from per-vertex lists of out-edges and no path objects:
+level 1 of its generators is the edges sorted by id, and each longer
+level lists every parent's extensions together, in parent order, sorted
+by edge id.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
+from operator import add, attrgetter
 
-from .graph import (Graph, check_positive_weights, enumerate_paths,
-                    path_range)
+from .graph import Graph, check_positive_weights
 from .intlinalg import (FpAbelianGroup, IntMatrix, SmithDecomposition,
                         _int_vector, _left_kernel, _require_int,
                         sparse_cokernel, sparse_smith_normal_form)
@@ -161,10 +165,12 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
     pres, vec, coords = _class_coordinates(g, vec)
     if not any(coords):
         return Verdict.POSITIVE
-    cols = pres.columns
+    # each relation column, then its negation
+    moves = [m for col in pres.columns
+             for m in (col, tuple(-x for x in col))]
 
     def bfs(start) -> bool:
-        if all(x >= 0 for x in start):
+        if min(start) >= 0:
             return True
         seen = {start}
         queue = deque([start])
@@ -172,15 +178,14 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
         while queue and dequeued < cap:
             cur = queue.popleft()
             dequeued += 1
-            for col in cols:
-                for sgn in (1, -1):
-                    nxt = tuple(a + sgn * b for a, b in zip(cur, col))
-                    if nxt in seen:
-                        continue
-                    if all(x >= 0 for x in nxt):
-                        return True
-                    seen.add(nxt)
-                    queue.append(nxt)
+            for move in moves:
+                nxt = tuple(map(add, cur, move))
+                if nxt in seen:
+                    continue
+                if min(nxt) >= 0:
+                    return True
+                seen.add(nxt)
+                queue.append(nxt)
         return False
 
     if bfs(vec):
@@ -198,36 +203,72 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
 def h0_bruteforce_oracle(g: Graph, max_len: int) -> FpAbelianGroup:
     """Independent computation of the group from truncated path generators.
 
-    Generators are all paths of length at most max_len. Relations: every
-    projection of length below max_len with regular range expands one step,
-    and every projection of positive length is identified with its range
-    vertex. The result must agree with h0 for every max_len >= 1.
+    Generators are all paths of length at most max_len, in the order of
+    ``graph.enumerate_paths``. Relations: every projection of length below
+    max_len with regular range expands one step, and every projection of
+    positive length is identified with its range vertex. The result must
+    agree with h0 for every max_len >= 1.
 
     The relations are written as sparse rows, one per generator, and go
     straight to ``sparse_cokernel``: nearly every entry of the relation
     matrix is 0. Every entry written is +-1 and none is written twice,
     because a column touches a path and its distinct one-edge extensions,
     or a path of positive length and its range vertex.
+
+    No path is built: a level is the list of its paths' range vertices.
+    Level 1 is the edges sorted by id, and from length 2 on a sorted level
+    lists each parent's extensions together, in parent order, sorted by
+    edge id, so a parent's extensions are the next block of rows.
     """
     max_len = _require_int(max_len, "path lengths")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     check_positive_weights(g, "homology")
-    paths = enumerate_paths(g, max_len)
-    index = {(p.source, p.edges): i for i, p in enumerate(paths)}
+    n = len(g.vertices)
+    vindex = {v: i for i, v in enumerate(g.vertices)}
+    eid = attrgetter("eid")
+    by_id = sorted(g.edges, key=eid)
+    rank = {e.eid: r for r, e in enumerate(by_id)}
+    # per vertex, in out-edge order: the rows of its one-edge paths and
+    # the places of its out-edges in id order; and its targets in id order
+    firsts, places, targets = [], [], []
+    for v in g.vertices:
+        out = g.out_edges(v)
+        srt = sorted(out, key=eid)
+        place = {e.eid: r for r, e in enumerate(srt)}
+        firsts.append([n + rank[e.eid] for e in out])
+        places.append([place[e.eid] for e in out])
+        targets.append([vindex[e.dst] for e in srt])
     rows = {}
     j = 0
-    for i, p in enumerate(paths):
-        v = path_range(g, p)
-        out = g.out_edges(v)
-        if len(p.edges) < max_len and out:
-            rows.setdefault(i, {})[j] = 1
-            for e in out:
-                child = index[p.source, p.edges + (e.eid,)]
-                rows.setdefault(child, {})[j] = -1
+    for v, first in enumerate(firsts):
+        if first:
+            rows[v] = {j: 1}
+            for i in first:
+                rows[i] = {j: -1}
             j += 1
-        if p.edges:
-            rows.setdefault(index[v, ()], {})[j] = 1
-            rows.setdefault(i, {})[j] = -1
+    level = [vindex[e.dst] for e in by_id]
+    start = n
+    for length in range(1, max_len + 1):
+        expand = length < max_len
+        child = start + len(level)
+        for i, v in enumerate(level, start):
+            row = rows[i]
+            if expand and places[v]:
+                row[j] = 1
+                for r in places[v]:
+                    rows[child + r] = {j: -1}
+                child += len(places[v])
+                j += 1
+            vrow = rows.get(v)
+            if vrow is None:
+                rows[v] = {j: 1}
+            else:
+                vrow[j] = 1
+            row[j] = -1
             j += 1
-    return sparse_cokernel(rows, len(paths), j)
+        start += len(level)
+        if expand:
+            level = list(chain.from_iterable(map(targets.__getitem__,
+                                                 level)))
+    return sparse_cokernel(rows, start, j)

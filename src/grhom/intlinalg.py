@@ -40,6 +40,7 @@ Smith diagonal is unique, so all of them give the same factors.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import add
 
@@ -356,24 +357,27 @@ def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
     Pivot rule: columns sit in a lazy heap keyed (nonzero count, column).
     The loop pops the column with the fewest nonzeros, drops the key if
     it no longer matches the column's count, and pivots on a unit of that
-    column, in the shortest row that has one; a column without a unit is
-    skipped. The Smith diagonal is unique, so the rule affects speed only,
-    never the result, which equals ``smith_normal_form(a).factors``: the
-    units, the nonzero core factors, then zeros up to min(nrows, ncols).
+    column, in the shortest row that has one, the lowest row id among
+    rows of that length; a column without a unit is skipped. The Smith
+    diagonal is unique, so the rule affects speed only, never the result,
+    which equals ``smith_normal_form(a).factors``: the units, the nonzero
+    core factors, then zeros up to min(nrows, ncols).
 
     The other rows are updated by ``_add_row``, as in ``_eliminate``; a
     spent pivot column stays in ``cols`` as an empty set, which the core
-    leaves out. A step writes entries only in the columns of the pivot
-    row, and only their counts change, so each of those columns is pushed
-    again at its new count. Every other column keeps its entries and its
-    current key, or was popped without a unit and still has none. So a
-    column holding a unit always has a current key, and the loop ends with
-    no unit left.
+    leaves out. A pivot costs one pass over its column to find the row
+    and one ``_add_row`` per other row in it, and builds no list; a
+    column's set is made once, not once per entry. A step writes entries
+    only in the columns of the pivot row, and only their counts change,
+    so each of those columns is pushed again at its new count. Every
+    other column keeps its entries and its current key, or was popped
+    without a unit and still has none. So a column holding a unit always
+    has a current key, and the loop ends with no unit left.
     """
-    cols = {}
+    cols = defaultdict(set)
     for i, row in rows.items():
         for j in row:
-            cols.setdefault(j, set()).add(i)
+            cols[j].add(i)
     heap = [(len(col), j) for j, col in cols.items()]
     heapq.heapify(heap)
     units = 0
@@ -382,12 +386,20 @@ def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
         col = cols[j]
         if len(col) != count:
             continue
-        candidates = [(len(rows[k]), k) for k in col if rows[k][j] in (1, -1)]
-        if not candidates:
+        i = None
+        for k in col:
+            row = rows[k]
+            if row[j] in (1, -1) and (i is None or len(row) < size
+                                      or len(row) == size and k < i):
+                i, size = k, len(row)
+        if i is None:
             continue
-        i = min(candidates)[1]
         u = rows[i][j]
-        for k in [k for k in col if k != i]:
+        # each update clears row k's entry in column j, and k is taken
+        # out of the column first, so col empties as the rows are done
+        col.remove(i)
+        while col:
+            k = col.pop()
             _add_row(rows, cols, k, -rows[k][j] * u, i)
             if not rows[k]:
                 del rows[k]
@@ -418,10 +430,11 @@ def sparse_cokernel(rows, nrows, ncols) -> FpAbelianGroup:
 
 
 def _group(nrows, factors) -> FpAbelianGroup:
-    """Z^nrows modulo a relation matrix with Smith diagonal ``factors``."""
-    nonzero = [d for d in factors if d]
-    return FpAbelianGroup(rank=nrows - len(nonzero),
-                          torsion=tuple(d for d in nonzero if d > 1))
+    """Z^nrows modulo a relation matrix with Smith diagonal ``factors``,
+    a tuple: the chain of 1s, the torsion, then the zeros."""
+    end = len(factors) - factors.count(0)
+    return FpAbelianGroup(rank=nrows - end,
+                          torsion=factors[factors.count(1):end])
 
 
 def hermite_row_basis(rows, ncols) -> IntMatrix:

@@ -390,6 +390,41 @@ class TestOracleMatchesReference:
             assert group == cokernel(ref) == h0(g)
 
 
+    @pytest.mark.parametrize("vertices, edges", [
+        # e10 sorts before e2 and e9 as a string, after them as a number
+        (["u", "v", "s"],
+         [("e9", 0, 1), ("e10", 1, 0), ("e2", 0, 0), ("e11", 1, 2),
+          ("e1", 1, 1)]),
+        # numeric ids out of file order; s is a sink
+        (["u", "v", "s"],
+         [("10", 0, 1), ("9", 1, 0), ("100", 0, 2), ("1", 1, 1),
+          ("2", 0, 0)]),
+        # b before a in file order, and parallel edges u -> v
+        (["u", "v"],
+         [("b", 0, 1), ("a", 0, 1), ("d", 1, 0), ("c", 1, 1)]),
+        # ids in reverse order, loops at two vertices, parallel edges
+        # into the sink s, which comes first in vertex order
+        (["s", "u", "v"],
+         [("z", 1, 1), ("y", 2, 2), ("x", 1, 0), ("w", 2, 0), ("v", 1, 2),
+          ("u", 1, 0), ("t", 2, 1)]),
+        # a source with no in-edge, an isolated sink, and ids that sort
+        # across vertices
+        (["p", "u", "v", "q"],
+         [("m", 0, 1), ("k", 1, 2), ("l", 2, 1), ("j", 1, 1),
+          ("n", 0, 2)]),
+    ])
+    def test_edge_id_orders(self, oracle_rows, vertices, edges):
+        """Edge ids whose string order differs from their file and
+        numeric order fix the row order of every level."""
+        g = graph_from_dict({
+            "vertices": vertices,
+            "edges": [{"id": eid, "src": vertices[i], "dst": vertices[j]}
+                      for eid, i, j in edges]})
+        for max_len in (1, 2, 3, 4):
+            group, ref = self.check(oracle_rows, g, max_len)
+            assert group == cokernel(ref) == h0(g)
+
+
 class TestPresentationMemo:
     """One presentation and one Smith elimination per graph object."""
 

@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -456,7 +457,10 @@ class TestSparseUnitElimination:
         a = mat([[1, 2], [3, 4]])
         assert invariant_factors(a) == smith_normal_form(a).factors == (1, 2)
 
-    def test_oracle_matrix_agrees_with_dense(self, monkeypatch):
+    @pytest.fixture
+    def oracle_5v(self, monkeypatch):
+        """The oracle's relation matrix of a 5-vertex, 12-edge graph at
+        max_len 4, as a dense matrix, with the graph and the group."""
         vs = ["v%d" % i for i in range(5)]
         pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3),
                  (2, 4), (3, 0), (4, 1), (0, 0), (2, 2)]
@@ -472,13 +476,58 @@ class TestSparseUnitElimination:
                 for i in range(nrows)), ncols))
             return sparse_cokernel(rows, nrows, ncols)
 
-        monkeypatch.setattr(homology, "sparse_cokernel", capture)
-        group = homology.h0_bruteforce_oracle(g, 4)
+        with monkeypatch.context() as m:
+            m.setattr(homology, "sparse_cokernel", capture)
+            group = homology.h0_bruteforce_oracle(g, 4)
         (a,) = seen
+        return g, a, group
+
+    def test_oracle_matrix_agrees_with_dense(self, oracle_5v):
+        g, a, group = oracle_5v
         assert a.nrows >= 200
         assert invariant_factors(a) == smith_normal_form(a).factors
         assert group == homology.h0(g)
 
+    def test_oracle_matrix_pivot_counts(self, oracle_5v, monkeypatch):
+        """The documented pivot rule, pinned by its work: the unit
+        pivots; the ``_add_row`` calls before and inside the core, with
+        the entries they read; and the core's rows, columns, nonzeros and
+        nonzero factors. A different pivot choice changes the fill-in."""
+        _, a, _ = oracle_5v
+        add_row, eliminate = intlinalg._add_row, intlinalg._eliminate
+        calls = {"unit": [0, 0], "core": [0, 0]}
+        phase = ["unit"]
+        cores = []
+
+        pivot_rows = []
+
+        def counted_add_row(rows, cols, i, q, src):
+            count = calls[phase[0]]
+            count[0] += 1
+            count[1] += len(rows[src])
+            pivot_rows.append(src)
+            return add_row(rows, cols, i, q, src)
+
+        def counted_eliminate(rows, col_ids):
+            phase[0] = "core"
+            shape = (len(rows), len(col_ids), sum(map(len, rows)))
+            result = eliminate(rows, col_ids)
+            cores.append(shape + (sum(1 for d in result[0] if d),))
+            return result
+
+        monkeypatch.setattr(intlinalg, "_add_row", counted_add_row)
+        monkeypatch.setattr(intlinalg, "_eliminate", counted_eliminate)
+        factors = invariant_factors(a)
+        core_nonzero = sum(c[-1] for c in cores)
+        units = sum(1 for d in factors if d) - core_nonzero
+        assert a.shape == (309, 426)
+        assert units == 308
+        assert calls == {"unit": [308, 970], "core": [0, 0]}
+        assert cores == [(1, 33, 33, 1)]
+        # the pivot row of each update, in order: ties between rows of
+        # one length go to the lower row id
+        assert hashlib.sha256(repr(pivot_rows).encode()).hexdigest() == \
+            "84a7bf2d3628fceb6d314527e1d66b01fcbc3d4e80ac305731578b023d47eb69"
 
     def test_unit_from_fill_is_pivoted(self, monkeypatch):
         # column 0 has no unit when first popped; the pivot at (0, 1)
