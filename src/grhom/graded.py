@@ -363,7 +363,10 @@ def verify_exact_sequence(g: Graph) -> dict:
     gives the same group: a stage no relation touches sits only in the
     chain of identifications between its touched neighbours, and
     contracting that chain is unimodular. So the work follows the number
-    of distinct weights, not their size.
+    of distinct weights, not their size. The (x - 1)-columns are
+    identification columns, which ``sparse_cokernel`` merges before any
+    pivot, so what is left to eliminate is the relation columns on one
+    copy of the vertices.
     """
     m = graded_module(g)
     sigma_lambda_zero = all(
@@ -375,27 +378,20 @@ def verify_exact_sequence(g: Graph) -> dict:
     pos = {s: i for i, s in enumerate(stages)}
     nrows = len(stages) * n
 
-    rows = {}
-    ncols = 0
-
-    def put(stage, vidx, x):
-        """Add x to the window entry in column ncols. Weights are at least
-        1, so a column's -1s never meet its +1 and no entry sums to 0."""
-        row = rows.setdefault(pos[stage] * n + vidx, {})
-        row[ncols] = row.get(ncols, 0) + x
-
+    # the relation columns at the top stage: weights are at least 1, so a
+    # column's -1s never meet its +1; then the (x - 1)-columns, each an
+    # identification of a vertex at one touched stage and the next
+    columns = []
     for j in range(n):
         if m.regular[j]:
-            put(1, j, 1)
+            col = {pos[1] * n + j: 1}
             for tgt, w in m._out[j]:
-                put(1 - w, tgt, -1)
-            ncols += 1
-    for lower, upper in zip(stages, stages[1:]):
-        for j in range(n):
-            put(upper, j, 1)
-            put(lower, j, -1)
-            ncols += 1
-    coker_lambda = sparse_cokernel(rows, nrows, ncols)
+                r = pos[1 - w] * n + tgt
+                col[r] = col.get(r, 0) - 1
+            columns.append(tuple(col.items()))
+    for base in range(0, nrows - n, n):
+        columns.extend(((base + n + j, 1), (base + j, -1)) for j in range(n))
+    coker_lambda = sparse_cokernel(columns, nrows)
     plain = h0(g)
     return {
         "sigma_lambda_zero": bool(sigma_lambda_zero),

@@ -11,17 +11,21 @@ positivity test, and an independent brute-force presentation on truncated
 path generators used as an oracle for the vertex presentation.
 
 A graph's presentation is built once per ``Graph`` instance, as sparse
-rows read from the out-edges, and carries the Smith decomposition of the
-one sparse elimination, computed on first use and shared by every query
-on the graph. Coordinates replay the Smith log forward once per vector
-(``SmithDecomposition.u_apply``), and the Negative certificate of
-``h0_is_positive`` reads the kernel rows of u walked back through it;
-``h0`` hands a copy of the rows to ``sparse_cokernel``. Only reports and
-tests build the dense matrix. The oracle also writes its relations as
-sparse rows, from per-vertex lists of out-edges and no path objects:
-level 1 of its generators is the edges sorted by id, and each longer
-level lists every parent's extensions together, in parent order, sorted
-by edge id.
+relation columns read from the out-edges, and carries the Smith
+decomposition of the one sparse elimination, computed on first use and
+shared by the class queries on the graph. Coordinates replay the Smith
+log forward once per vector (``SmithDecomposition.u_apply``), and the
+Negative certificate of ``h0_is_positive`` reads the kernel rows of u
+walked back through it. ``h0`` needs no transform: it hands the columns
+to ``sparse_cokernel``, which merges the identification columns (a
+vertex with one out-edge) before its unit pivots. Only reports and tests
+build the dense matrix. The oracle also writes its relations as sparse
+columns, from per-vertex lists of out-edges and no path objects: level 1
+of its generators is the edges sorted by id, and each longer level lists
+every parent's extensions together, in parent order, sorted by edge id.
+Most of its columns identify a path with its range vertex, and
+``sparse_cokernel`` merges them first, which reduces the path-space
+presentation to the vertex one (Matui, Proc. LMS 2012).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from operator import add, attrgetter
+from operator import add, attrgetter, mul
 
 from .graph import Graph, check_positive_weights
 from .intlinalg import (FpAbelianGroup, IntMatrix, SmithDecomposition,
@@ -50,36 +54,36 @@ class Verdict(Enum):
 class H0Presentation:
     """Vertex-indexed presentation: ambient Z^vertices modulo the columns.
 
-    ``relation_rows`` holds the (column, entry) nonzeros of each vertex's
-    row. The cached properties are computed on first use and kept, so the
-    queries on one graph share them; like the fields, they are immutable.
+    ``relation_columns`` holds the (vertex index, entry) nonzeros of each
+    regular vertex's column, in the relation-column form of ``intlinalg``;
+    it is the one sparse form, which ``h0`` and ``smith`` read. The cached
+    properties are computed on first use and kept, so the queries on one
+    graph share them; like the fields, they are immutable.
     """
 
     vertex_order: tuple[str, ...]
     regular_vertices: tuple[str, ...]
-    relation_rows: tuple[tuple[tuple[int, int], ...], ...]
-
-    def sparse(self, entry):
-        """``entry`` (a sparse Smith entry) on a fresh copy of the rows."""
-        return entry({i: dict(r) for i, r in enumerate(self.relation_rows)
-                      if r}, len(self.vertex_order),
-                     len(self.regular_vertices))
+    relation_columns: tuple[tuple[tuple[int, int], ...], ...]
 
     @cached_property
     def smith(self) -> SmithDecomposition:
         """The Smith decomposition of the relation matrix."""
-        return self.sparse(sparse_smith_normal_form)
+        return sparse_smith_normal_form(self.relation_columns,
+                                        len(self.vertex_order))
 
     @cached_property
     def relations(self) -> IntMatrix:
         """The dense relation matrix, for reports and tests."""
-        n = len(self.regular_vertices)
-        return IntMatrix(tuple(tuple(dict(r).get(j, 0) for j in range(n))
-                               for r in self.relation_rows), n)
+        rows = [[0] * len(self.relation_columns) for _ in self.vertex_order]
+        for j, col in enumerate(self.relation_columns):
+            for i, x in col:
+                rows[i][j] = x
+        return IntMatrix(tuple(map(tuple, rows)), len(self.relation_columns))
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        """The relation columns, one per regular vertex."""
+        """The dense relation columns, one per regular vertex: the moves
+        of ``h0_is_positive``."""
         return tuple(zip(*self.relations.rows))
 
 
@@ -96,22 +100,23 @@ def h0_presentation(g: Graph) -> H0Presentation:
         return pres
     check_positive_weights(g, "homology")
     regular = [v for v in g.vertices if g.out_edges(v)]
-    rows = [defaultdict(int) for _ in g.vertices]
-    for j, v in enumerate(regular):
-        rows[g.vertex_index(v)][j] += 1
+    columns = []
+    for v in regular:
+        col = defaultdict(int)
+        col[g.vertex_index(v)] += 1
         for e in g.out_edges(v):
-            rows[g.vertex_index(e.dst)][j] -= 1
+            col[g.vertex_index(e.dst)] -= 1
+        columns.append(tuple((i, x) for i, x in col.items() if x))
     pres = H0Presentation(vertex_order=g.vertices,
                           regular_vertices=tuple(regular),
-                          relation_rows=tuple(tuple(
-                              (j, x) for j, x in row.items() if x)
-                              for row in rows))
+                          relation_columns=tuple(columns))
     vars(g)["_h0_presentation"] = pres
     return pres
 
 
 def h0(g: Graph) -> FpAbelianGroup:
-    return h0_presentation(g).sparse(sparse_cokernel)
+    pres = h0_presentation(g)
+    return sparse_cokernel(pres.relation_columns, len(pres.vertex_order))
 
 
 def _class_coordinates(g: Graph, vec):
@@ -158,6 +163,13 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
     column and is negative on vec; the candidates are the Hermite basis
     vectors of the left kernel and their negations, taken from the Smith
     decomposition that gave the coordinates.
+
+    The proof is sought first when vec has a negative entry (a
+    nonnegative vec is its own representative, and no such functional is
+    negative on it). A functional takes one value on the whole class and
+    is nonnegative on every nonnegative vector, so when it exists the
+    search from vec cannot succeed and is skipped; the verdicts are those
+    of searching first.
     """
     cap = _require_int(cap, "caps")
     if cap < 0:
@@ -188,16 +200,15 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
                 queue.append(nxt)
         return False
 
-    if bfs(vec):
+    separated = min(vec) < 0 and any(
+        min(cand) >= 0 and sum(map(mul, cand, vec)) < 0
+        for row in _left_kernel(pres.smith).rows
+        for cand in (row, tuple(-x for x in row)))
+    if not separated and bfs(vec):
         return Verdict.POSITIVE
     if not bfs(tuple(-x for x in vec)):
         return Verdict.UNKNOWN
-    for row in _left_kernel(pres.smith).rows:
-        for cand in (row, tuple(-x for x in row)):
-            if all(x >= 0 for x in cand) and \
-                    sum(a * b for a, b in zip(cand, vec)) < 0:
-                return Verdict.NEGATIVE
-    return Verdict.UNKNOWN
+    return Verdict.NEGATIVE if separated else Verdict.UNKNOWN
 
 
 def h0_bruteforce_oracle(g: Graph, max_len: int) -> FpAbelianGroup:
@@ -209,11 +220,14 @@ def h0_bruteforce_oracle(g: Graph, max_len: int) -> FpAbelianGroup:
     positive length is identified with its range vertex. The result must
     agree with h0 for every max_len >= 1.
 
-    The relations are written as sparse rows, one per generator, and go
-    straight to ``sparse_cokernel``: nearly every entry of the relation
-    matrix is 0. Every entry written is +-1 and none is written twice,
+    The relations are written as sparse columns and go straight to
+    ``sparse_cokernel``: nearly every entry of the relation matrix is 0.
+    Every entry written is +-1 and no row is written twice in a column,
     because a column touches a path and its distinct one-edge extensions,
-    or a path of positive length and its range vertex.
+    or a path of positive length and its range vertex; each column lists
+    its rows in increasing order. The second kind, most of the columns,
+    are identifications, which ``sparse_cokernel`` merges before its unit
+    pivots.
 
     No path is built: a level is the list of its paths' range vertices.
     Level 1 is the edges sorted by id, and from length 2 on a sorted level
@@ -229,46 +243,28 @@ def h0_bruteforce_oracle(g: Graph, max_len: int) -> FpAbelianGroup:
     eid = attrgetter("eid")
     by_id = sorted(g.edges, key=eid)
     rank = {e.eid: r for r, e in enumerate(by_id)}
-    # per vertex, in out-edge order: the rows of its one-edge paths and
-    # the places of its out-edges in id order; and its targets in id order
-    firsts, places, targets = [], [], []
-    for v in g.vertices:
-        out = g.out_edges(v)
-        srt = sorted(out, key=eid)
-        place = {e.eid: r for r, e in enumerate(srt)}
-        firsts.append([n + rank[e.eid] for e in out])
-        places.append([place[e.eid] for e in out])
+    # per vertex, its targets in edge id order; a regular vertex's
+    # column meets the rows of its one-edge paths
+    columns, targets = [], []
+    for v, name in enumerate(g.vertices):
+        srt = sorted(g.out_edges(name), key=eid)
         targets.append([vindex[e.dst] for e in srt])
-    rows = {}
-    j = 0
-    for v, first in enumerate(firsts):
-        if first:
-            rows[v] = {j: 1}
-            for i in first:
-                rows[i] = {j: -1}
-            j += 1
+        if srt:
+            columns.append([(v, 1)] + [(n + rank[e.eid], -1) for e in srt])
     level = [vindex[e.dst] for e in by_id]
     start = n
     for length in range(1, max_len + 1):
         expand = length < max_len
         child = start + len(level)
         for i, v in enumerate(level, start):
-            row = rows[i]
-            if expand and places[v]:
-                row[j] = 1
-                for r in places[v]:
-                    rows[child + r] = {j: -1}
-                child += len(places[v])
-                j += 1
-            vrow = rows.get(v)
-            if vrow is None:
-                rows[v] = {j: 1}
-            else:
-                vrow[j] = 1
-            row[j] = -1
-            j += 1
+            if expand and targets[v]:
+                end = child + len(targets[v])
+                columns.append([(i, 1)] + [(c, -1)
+                                           for c in range(child, end)])
+                child = end
+            columns.append(((v, 1), (i, -1)))
         start += len(level)
         if expand:
             level = list(chain.from_iterable(map(targets.__getitem__,
                                                  level)))
-    return sparse_cokernel(rows, start, j)
+    return sparse_cokernel(columns, start)

@@ -29,12 +29,17 @@ e_{order[r]} and walks the log backwards, adding q * w_k to w_src, for
 the rows of u that kernels read: ``_left_kernel`` takes those with factor
 0 or past the diagonal, the source of every kernel.
 
-``smith_normal_form`` scans a dense matrix into rows for
-``sparse_smith_normal_form``. ``invariant_factors`` (behind ``cokernel``)
-and ``sparse_cokernel`` need only the diagonal: ``_sparse_factors``
-eliminates +-1 pivots, each step unimodular, so SNF(A) = diag(1, ..., 1,
-SNF(A')), and hands the rows of the small core A' to ``_eliminate``. The
-Smith diagonal is unique, so all of them give the same factors.
+Sparse input is one form, relation columns: a list with one sequence of
+(row, entry) pairs per column, rows distinct and entries nonzero, plus
+the row count. ``sparse_smith_normal_form`` and ``sparse_cokernel`` take
+it and only read it; ``smith_normal_form`` scans a dense matrix into rows
+and ``invariant_factors`` (behind ``cokernel``) into columns. The
+cokernels need only the diagonal, from the one cokernel path
+``_sparse_factors``: a union-find first merges the identification columns
++-(e_a - e_b), then +-1 pivots are eliminated, each step unimodular, so
+SNF(A) = diag(1, ..., 1, SNF(A')), and the rows of the small core A' go
+to ``_eliminate``. The Smith diagonal is unique, so all of them give the
+same factors.
 """
 
 from __future__ import annotations
@@ -242,10 +247,10 @@ def _add_row(rows, cols, i, q, src):
             cols[j].discard(i)
 
 
-def _eliminate(rows, col_ids):
+def _eliminate(rows, col_ids) -> SmithDecomposition:
     """The Smith elimination of the module docstring on ``rows``, dicts
     column -> nonzero entry (consumed; a row's id is its index), with the
-    columns ``col_ids`` in order. Returns (factors, order, log)."""
+    columns ``col_ids`` in order."""
     m, at = len(rows), list(col_ids)
     pos = {j: c for c, j in enumerate(at)}
     cols = {j: set() for j in at}
@@ -307,42 +312,129 @@ def _eliminate(rows, col_ids):
                 log.append((k, src, 1))
                 continue
         factors.append(p)
-    return tuple(factors) + (0,) * (limit - len(factors)), order, log
+    return SmithDecomposition(
+        tuple(factors) + (0,) * (limit - len(factors)), tuple(order),
+        tuple(log))
 
 
-def sparse_smith_normal_form(rows, nrows, ncols) -> SmithDecomposition:
-    """``smith_normal_form`` of the nrows x ncols matrix whose nonzero rows
-    are given as ``sparse_cokernel`` takes them; the dicts are consumed."""
-    factors, order, log = _eliminate(
-        [rows.get(i, {}) for i in range(nrows)], range(ncols))
-    return SmithDecomposition(factors, tuple(order), tuple(log))
+def sparse_smith_normal_form(columns, nrows) -> SmithDecomposition:
+    """``smith_normal_form`` of the nrows x len(columns) matrix given by
+    its relation columns (see the module docstring), which are only read:
+    row i of the elimination is the dict of column -> entry over the
+    columns that hold row i, each built in column order."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col:
+            rows[i][j] = x
+    return _eliminate(rows, range(len(columns)))
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """The Smith diagonal of a and its row transform u, with deterministic
     pivoting; u @ a @ v is diagonal for a unimodular v that is not kept."""
-    return sparse_smith_normal_form(_nonzero_rows(a), a.nrows, a.ncols)
+    return _eliminate([{j: x for j, x in enumerate(row) if x}
+                       for row in a.rows], range(a.ncols))
 
 
-def _nonzero_rows(a: IntMatrix):
-    """The nonzero rows of a as row index -> {column: entry}."""
-    return {i: nz for i, row in enumerate(a.rows)
-            if (nz := {j: x for j, x in enumerate(row) if x})}
+def _columns(a: IntMatrix):
+    """The relation columns of a: the (row, entry) nonzeros of each
+    column, in row order."""
+    if not a.rows:
+        return [()] * a.ncols
+    return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*a.rows)]
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    """Diagonal of the Smith form of a, without the transforms: the nonzero
-    rows of a, scanned once, go to ``_sparse_factors``. The result equals
+    """Diagonal of the Smith form of a, without the transforms: the columns
+    of a, scanned once, go to ``_sparse_factors``. The result equals
     ``smith_normal_form(a).factors``."""
-    return _sparse_factors(_nonzero_rows(a), a.nrows, a.ncols)
+    return _sparse_factors(_columns(a), a.nrows)
 
 
-def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
-    """Smith diagonal of the nrows x ncols matrix a whose nonzero entries
-    are ``rows``: row index -> {column: entry}, zero entries and rows
-    without any left out. The dicts are consumed.
+def _merge_identifications(columns, nrows):
+    """The identification columns of ``columns`` merged in a union-find
+    over the rows; returns (merges, rest).
 
-    Sparse unit-pivot elimination first, ``_eliminate`` on what is left. A
+    An identification column has exactly two nonzeros, x and -x with
+    |x| = 1, in rows a and b: it is +-(e_a - e_b). Taken in column order,
+    one whose rows lie in two classes merges them (the lower root id
+    becomes the root), and one whose rows already share a class is
+    dropped. Every other column is rewritten on the class roots, adding
+    the entries that land on one root; zero entries, zero columns and
+    exact repeats of an earlier rewritten column are dropped, and ``rest``
+    lists the others in column order. When nothing merges, there is no
+    identification column, and ``rest`` is ``columns`` itself.
+
+    Why the factors survive. Let F be the k merging columns. They form a
+    forest on the rows, so they are independent, and their span is the
+    kernel of pi: Z^nrows -> Z^classes, e_i -> e_root(i), since the
+    vectors of a class that sum to 0 are spanned by a spanning tree of
+    it. As e_i - e_root(i) lies in span(F), F and the unit vectors of the
+    roots form a basis of Z^nrows, a unimodular change of rows. In it, a
+    column c reads (its part on F, pi(c)); a merging column f reads
+    (+-e_f, 0), and column operations by those clear the F-part of every
+    other column. So A ~ diag(I_k, pi(R)), with R the other columns, and
+    SNF(A) = diag(1, ..., 1, SNF(pi(R))), the 1s leading because 1
+    divides every factor; a dropped identification column has pi = 0.
+    Dropping zero columns and repeated columns of pi(R) leaves its column
+    lattice L unchanged, and the nonzero factors depend on L alone:
+    Z^classes / L is the sum of Z/d over them plus a free part, and their
+    number is the rank of L. The zeros pad the diagonal to
+    min(nrows, ncols) in ``_sparse_factors``. The Smith diagonal is
+    unique, so the factors are byte-identical to those of the whole
+    matrix.
+    """
+    parent = list(range(nrows))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    merges, rest = 0, []
+    for col in columns:
+        if len(col) == 2:
+            (a, x), (b, y) = col
+            if x + y == 0 and (x == 1 or x == -1):
+                a, b = find(a), find(b)
+                if a != b:
+                    if a < b:
+                        parent[b] = a
+                    else:
+                        parent[a] = b
+                    merges += 1
+                continue
+        rest.append(col)
+    if not merges:
+        return 0, columns
+    seen, out = set(), []
+    for col in rest:
+        acc = {}
+        for i, x in col:
+            i = find(i)
+            acc[i] = acc.get(i, 0) + x
+        col = [(i, x) for i, x in acc.items() if x]
+        if col:
+            key = frozenset(col)
+            if key not in seen:
+                seen.add(key)
+                out.append(col)
+    return merges, out
+
+
+def _sparse_factors(columns, nrows) -> tuple[int, ...]:
+    """Smith diagonal of the nrows x len(columns) matrix a given by its
+    relation columns (see the module docstring), which are only read.
+
+    ``_merge_identifications`` first: each merge is a factor 1, and the
+    rest columns, rewritten on the class roots, are the matrix that the
+    unit pivots then work on, with rows keyed by root. On the relation
+    matrices of ``homology`` most columns are identifications: in the
+    path-space oracle every path of positive length is identified with
+    its range vertex, and what is left, repeats dropped, is the vertex
+    presentation with its own identifications merged.
+
+    Sparse unit-pivot elimination next, ``_eliminate`` on what is left. A
     unit pivot a[i][j] = u = +-1 subtracts u * a[k][j] times row i from
     every other row k, which clears column j outside row i; column
     operations with the unit would clear the rest of row i without
@@ -374,13 +466,15 @@ def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
     without a unit and still has none. So a column holding a unit always
     has a current key, and the loop ends with no unit left.
     """
-    cols = defaultdict(set)
-    for i, row in rows.items():
-        for j in row:
-            cols[j].add(i)
+    units, rest = _merge_identifications(columns, nrows)
+    rows, cols = defaultdict(dict), {}
+    for j, col in enumerate(rest):
+        cols[j] = ids = set()
+        for i, x in col:
+            rows[i][j] = x
+            ids.add(i)
     heap = [(len(col), j) for j, col in cols.items()]
     heapq.heapify(heap)
-    units = 0
     while heap:
         count, j = heapq.heappop(heap)
         col = cols[j]
@@ -413,8 +507,8 @@ def _sparse_factors(rows, nrows, ncols) -> tuple[int, ...]:
     if rows:
         core = _eliminate(list(rows.values()),
                           sorted(j for j, col in cols.items() if col))
-        factors += tuple(d for d in core[0] if d)
-    return factors + (0,) * (min(nrows, ncols) - len(factors))
+        factors += tuple(d for d in core.factors if d)
+    return factors + (0,) * (min(nrows, len(columns)) - len(factors))
 
 
 def cokernel(a: IntMatrix) -> FpAbelianGroup:
@@ -422,11 +516,11 @@ def cokernel(a: IntMatrix) -> FpAbelianGroup:
     return _group(a.nrows, invariant_factors(a))
 
 
-def sparse_cokernel(rows, nrows, ncols) -> FpAbelianGroup:
-    """``cokernel`` of the nrows x ncols matrix given by its nonzero rows,
-    as ``_sparse_factors`` takes them, with no dense copy. The dicts are
-    consumed."""
-    return _group(nrows, _sparse_factors(rows, nrows, ncols))
+def sparse_cokernel(columns, nrows) -> FpAbelianGroup:
+    """``cokernel`` of the nrows x len(columns) matrix given by its
+    relation columns (see the module docstring), with no dense copy; the
+    columns are only read."""
+    return _group(nrows, _sparse_factors(columns, nrows))
 
 
 def _group(nrows, factors) -> FpAbelianGroup:

@@ -13,7 +13,7 @@ from grhom.graded import (GradedModule, StagedVector, _decision_depth,
                           verify_exact_sequence, x_action)
 from grhom.graph import _looks_like_int, graph_from_dict, graph_to_dict
 from grhom.homology import Verdict, h0, h0_class
-from grhom.intlinalg import IntMatrix, sparse_cokernel
+from grhom.intlinalg import IntMatrix, cokernel
 from linalg_helpers import in_column_span
 
 
@@ -808,7 +808,10 @@ def full_window_coker_lambda(g):
             put(s + 1, j, 1)
             put(s, j, -1)
             ncols += 1
-    return sparse_cokernel(rows, len(stages) * n, ncols)
+    nrows = len(stages) * n
+    return cokernel(IntMatrix(tuple(
+        tuple(rows.get(i, {}).get(j, 0) for j in range(ncols))
+        for i in range(nrows)), ncols))
 
 
 class TestDimensionTriple:

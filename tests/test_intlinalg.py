@@ -1,4 +1,3 @@
-import hashlib
 from random import Random
 
 import pytest
@@ -425,7 +424,8 @@ class TestDiagonalizeMatchesReference:
         pres = homology.h0_presentation(seeded_graph(7, 30, True))
         a = pres.relations
         _, u, _, factors = reference_diagonalize(a, True)
-        dec = pres.sparse(sparse_smith_normal_form)
+        dec = sparse_smith_normal_form(pres.relation_columns,
+                                       len(pres.vertex_order))
         assert dec == smith_normal_form(a)
         assert full_u(dec) == IntMatrix.from_rows(u, a.nrows)
         assert dec.factors == factors
@@ -459,8 +459,12 @@ class TestSparseUnitElimination:
 
     @pytest.fixture
     def oracle_5v(self, monkeypatch):
-        """The oracle's relation matrix of a 5-vertex, 12-edge graph at
-        max_len 4, as a dense matrix, with the graph and the group."""
+        """The oracle's relation columns of a 5-vertex, 12-edge graph at
+        max_len 4, with the graph, the dense reference matrix they equal
+        exactly, and the group."""
+        # test_homology imports this module, so its helper is imported
+        # here, once both are loaded
+        from test_homology import reference_oracle_relations
         vs = ["v%d" % i for i in range(5)]
         pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3),
                  (2, 4), (3, 0), (4, 1), (0, 0), (2, 2)]
@@ -470,64 +474,116 @@ class TestSparseUnitElimination:
                       for k, (i, j) in enumerate(pairs)]})
         seen = []
 
-        def capture(rows, nrows, ncols):
-            seen.append(IntMatrix(tuple(
-                tuple(rows.get(i, {}).get(j, 0) for j in range(ncols))
-                for i in range(nrows)), ncols))
-            return sparse_cokernel(rows, nrows, ncols)
+        def capture(columns, nrows):
+            seen.append((tuple(map(tuple, columns)), nrows))
+            return sparse_cokernel(columns, nrows)
 
         with monkeypatch.context() as m:
             m.setattr(homology, "sparse_cokernel", capture)
             group = homology.h0_bruteforce_oracle(g, 4)
-        (a,) = seen
-        return g, a, group
+        ((columns, nrows),) = seen
+        a = reference_oracle_relations(g, 4)
+        assert nrows == a.nrows
+        assert columns == tuple(map(tuple, intlinalg._columns(a)))
+        return g, a, columns, group
 
-    def test_oracle_matrix_agrees_with_dense(self, oracle_5v):
-        g, a, group = oracle_5v
-        assert a.nrows >= 200
-        assert invariant_factors(a) == smith_normal_form(a).factors
-        assert group == homology.h0(g)
-
-    def test_oracle_matrix_pivot_counts(self, oracle_5v, monkeypatch):
-        """The documented pivot rule, pinned by its work: the unit
-        pivots; the ``_add_row`` calls before and inside the core, with
-        the entries they read; and the core's rows, columns, nonzeros and
-        nonzero factors. A different pivot choice changes the fill-in."""
-        _, a, _ = oracle_5v
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """The work of ``_sparse_factors`` from here on: the merges and
+        rest columns of ``_merge_identifications``; the ``_add_row`` calls
+        and the entries they read, before and inside the core, and the
+        pivot row of each; per core its rows, columns, nonzeros, nonzero
+        factors and 1s. ``pivots(factors)`` gives the heap's unit pivots:
+        the 1s that neither a merge nor a core made."""
+        merge = intlinalg._merge_identifications
         add_row, eliminate = intlinalg._add_row, intlinalg._eliminate
-        calls = {"unit": [0, 0], "core": [0, 0]}
+        work = {"merges": 0, "rest": 0, "unit": [0, 0], "core": [0, 0],
+                "cores": [], "pivot_rows": []}
         phase = ["unit"]
-        cores = []
 
-        pivot_rows = []
+        def counted_merge(columns, nrows):
+            merges, rest = merge(columns, nrows)
+            work["merges"] += merges
+            work["rest"] += len(rest)
+            phase[0] = "unit"
+            return merges, rest
 
         def counted_add_row(rows, cols, i, q, src):
-            count = calls[phase[0]]
+            count = work[phase[0]]
             count[0] += 1
             count[1] += len(rows[src])
-            pivot_rows.append(src)
+            work["pivot_rows"].append(src)
             return add_row(rows, cols, i, q, src)
 
         def counted_eliminate(rows, col_ids):
             phase[0] = "core"
             shape = (len(rows), len(col_ids), sum(map(len, rows)))
-            result = eliminate(rows, col_ids)
-            cores.append(shape + (sum(1 for d in result[0] if d),))
-            return result
+            dec = eliminate(rows, col_ids)
+            work["cores"].append(shape + (
+                sum(1 for d in dec.factors if d), dec.factors.count(1)))
+            return dec
 
+        def pivots(factors):
+            return (factors.count(1) - work["merges"]
+                    - sum(c[-1] for c in work["cores"]))
+
+        monkeypatch.setattr(intlinalg, "_merge_identifications",
+                            counted_merge)
         monkeypatch.setattr(intlinalg, "_add_row", counted_add_row)
         monkeypatch.setattr(intlinalg, "_eliminate", counted_eliminate)
-        factors = invariant_factors(a)
-        core_nonzero = sum(c[-1] for c in cores)
-        units = sum(1 for d in factors if d) - core_nonzero
+        work["pivots"] = pivots
+        return work
+
+    def test_oracle_matrix_agrees_with_dense(self, oracle_5v):
+        g, a, _, group = oracle_5v
+        assert a.nrows >= 200
+        assert invariant_factors(a) == smith_normal_form(a).factors
+        assert group == homology.h0(g)
+
+    def test_oracle_matrix_pivot_counts(self, oracle_5v, work):
+        """The documented elimination, pinned by its work on the oracle's
+        columns: the merges and the rest columns; the heap's unit pivots;
+        the ``_add_row`` calls before and inside the core, with the
+        entries they read; and the core's rows, columns, nonzeros and
+        nonzero factors. A different merge or pivot rule changes them."""
+        _, a, columns, group = oracle_5v
+        factors = intlinalg._sparse_factors(columns, a.nrows)
+        assert intlinalg._group(a.nrows, factors) == group
         assert a.shape == (309, 426)
-        assert units == 308
-        assert calls == {"unit": [308, 970], "core": [0, 0]}
-        assert cores == [(1, 33, 33, 1)]
+        assert (work["merges"], work["rest"]) == (304, 5)
+        assert work["pivots"](factors) == 4
+        assert (work["unit"], work["core"]) == ([4, 10], [0, 0])
+        assert work["cores"] == [(1, 1, 1, 1, 0)]
         # the pivot row of each update, in order: ties between rows of
         # one length go to the lower row id
-        assert hashlib.sha256(repr(pivot_rows).encode()).hexdigest() == \
-            "84a7bf2d3628fceb6d314527e1d66b01fcbc3d4e80ac305731578b023d47eb69"
+        assert work["pivot_rows"] == [2, 3, 4, 0]
+
+    def test_out_degree_one_needs_no_pivot(self, work):
+        """When every regular vertex has one out-edge, each relation
+        column of ``h0`` is an identification or, for a loop, zero, so
+        the merges make every factor 1: no heap pivot, no ``_add_row``
+        and no core."""
+        rng = Random(67)
+        merged = 0
+        for n in (1, 2, 5, 12, 40):
+            for _ in range(6):
+                sinks = rng.randrange(n)
+                names = ["v%d" % i for i in range(n)]
+                g = graph_from_dict({"vertices": names, "edges": [
+                    {"id": "e%d" % i, "src": names[i],
+                     "dst": names[rng.randrange(n)]}
+                    for i in range(sinks, n)]})
+                before = work["merges"]
+                group = homology.h0(g)
+                a = homology.h0_presentation(g).relations
+                factors = reference_diagonalize(a, False)[3]
+                ones = sum(1 for d in factors if d)
+                assert group == FpAbelianGroup(n - ones, ())
+                assert work["merges"] - before == ones
+                merged += ones
+        assert merged > 50
+        assert work["unit"] == work["core"] == [0, 0]
+        assert work["cores"] == []
 
     def test_unit_from_fill_is_pivoted(self, monkeypatch):
         # column 0 has no unit when first popped; the pivot at (0, 1)
@@ -549,6 +605,91 @@ class TestSparseUnitElimination:
         # 2^14 - 1 = 16383 path generators
         assert homology.h0_bruteforce_oracle(graph_f, 13) == \
             homology.h0(graph_f)
+
+
+@st.composite
+def incidence_columns(draw, max_rows=10, max_cols=16):
+    """(columns, nrows) in the relation-column form of ``sparse_cokernel``,
+    heavy in what the union-find meets: identifications +-(e_a - e_b),
+    which close cycles among few rows and repeat; zero columns; repeats
+    of an earlier column; unit singletons; and non-unit columns, two-entry
+    ones among them. Rows that no column touches stay empty, and nrows is
+    drawn apart from the column count, so either may be the larger."""
+    nrows = draw(st.integers(0, max_rows))
+    columns = []
+    for _ in range(draw(st.integers(0, max_cols))):
+        kind = draw(st.sampled_from(
+            ("ident",) * 5 + ("zero", "repeat", "repeat", "unit", "other",
+                              "other")))
+        if kind == "zero" or not nrows or kind == "repeat" and not columns:
+            columns.append(())
+        elif kind == "repeat":
+            columns.append(draw(st.sampled_from(columns)))
+        elif kind == "ident" and nrows > 1:
+            a, b = draw(st.lists(st.integers(0, nrows - 1), min_size=2,
+                                 max_size=2, unique=True))
+            x = draw(st.sampled_from((1, -1)))
+            columns.append(((a, x), (b, -x)))
+        elif kind == "unit" or kind == "ident":
+            columns.append(((draw(st.integers(0, nrows - 1)),
+                             draw(st.sampled_from((1, -1)))),))
+        else:
+            rows = draw(st.lists(st.integers(0, nrows - 1), min_size=1,
+                                 max_size=3, unique=True))
+            entry = st.sampled_from((-3, -2, -1, 1, 2, 3))
+            columns.append(tuple((i, draw(entry)) for i in rows))
+    return columns, nrows
+
+
+def dense_from_columns(columns, nrows):
+    rows = [[0] * len(columns) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col:
+            rows[i][j] = x
+    return IntMatrix(tuple(map(tuple, rows)), len(columns))
+
+
+class TestMergeIdentifications:
+    """The union-find pass of ``_sparse_factors`` against the dense
+    ``smith_normal_form``, which merges nothing."""
+
+    @given(incidence_columns())
+    def test_agrees_with_dense(self, drawn):
+        columns, nrows = drawn
+        a = dense_from_columns(columns, nrows)
+        factors = smith_normal_form(a).factors
+        assert intlinalg._sparse_factors(columns, nrows) == factors
+        assert invariant_factors(a) == factors
+        assert sparse_cokernel(columns, nrows) == cokernel(a) == \
+            intlinalg._group(nrows, factors)
+
+    @given(incidence_columns(max_rows=4, max_cols=24))
+    def test_few_rows_many_columns(self, drawn):
+        columns, nrows = drawn
+        a = dense_from_columns(columns, nrows)
+        assert intlinalg._sparse_factors(columns, nrows) == \
+            smith_normal_form(a).factors
+
+    def test_each_case(self):
+        """A cycle and a negated repeat are dropped, two columns that
+        agree on the classes count once, a zero column goes, and row 5
+        stays empty."""
+        columns = [((0, 1), (1, -1)), ((1, 1), (2, -1)), ((2, 1), (0, -1)),
+                   ((0, -1), (1, 1)), ((0, 2), (3, 1)), ((1, 2), (3, 1)),
+                   (), ((4, 3),), ((3, -1),), ((2, 1), (3, 1))]
+        merges, rest = intlinalg._merge_identifications(columns, 6)
+        assert merges == 2
+        assert rest == [[(0, 2), (3, 1)], [(4, 3)], [(3, -1)],
+                        [(0, 1), (3, 1)]]
+        a = dense_from_columns(columns, 6)
+        assert intlinalg._sparse_factors(columns, 6) == \
+            smith_normal_form(a).factors == (1, 1, 1, 1, 3, 0)
+        assert sparse_cokernel(columns, 6) == FpAbelianGroup(1, (3,))
+
+    def test_nothing_merged_keeps_the_columns(self):
+        columns = [((0, 1), (1, 1)), ((0, 2), (1, -2)), ((1, 1),)]
+        assert intlinalg._merge_identifications(columns, 2) == (0, columns)
+        assert intlinalg._sparse_factors(columns, 2) == (1, 1)
 
 
 class TestCokernel:
