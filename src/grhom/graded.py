@@ -343,9 +343,11 @@ def _sample_elements(m: GradedModule):
     for v in m.graph.vertices:
         for stage in range(-2, 3):
             yield m.generator(v, stage)
-    combo = StagedVector.zero()
-    for i, v in enumerate(m.graph.vertices):
-        combo = combo + m.generator(v, i - 1, coeff=2 * i - 3)
+    # sum over i of (2i - 3) a(vertex i, i - 1): each vertex alone at its
+    # own stage, and 2i - 3 is never 0
+    n = m.nvertices
+    combo = StagedVector.build(
+        {i - 1: [0] * i + [2 * i - 3] + [0] * (n - 1 - i) for i in range(n)})
     if not combo.is_zero():
         yield combo
 

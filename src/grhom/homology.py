@@ -13,17 +13,16 @@ path generators used as an oracle for the vertex presentation.
 A graph's presentation is built once per ``Graph`` instance, as sparse
 relation columns read from the out-edges, and carries the Smith
 decomposition of the one sparse elimination, computed on first use and
-shared by the class queries on the graph. Coordinates replay the Smith
-log forward once per vector (``SmithDecomposition.u_apply``), and the
-Negative certificate of ``h0_is_positive`` reads the kernel rows of u
-walked back through it. ``h0`` needs no transform: it hands the columns
-to ``sparse_cokernel``, which merges the identification columns (a
-vertex with one out-edge) before its unit pivots. Only reports and tests
-build the dense matrix. The oracle also writes its relations as sparse
-columns, from per-vertex lists of out-edges and no path objects: level 1
-of its generators is the edges sorted by id, and each longer level lists
-every parent's extensions together, in parent order, sorted by edge id.
-Most of its columns identify a path with its range vertex, and
+shared by every query on the graph: ``h0`` reads the group from its
+diagonal, coordinates replay its log forward once per vector
+(``SmithDecomposition.u_apply``), and the Negative certificates of
+``h0_is_positive`` are the nonnegative kernel rows of u, walked back
+through the log once per presentation. Only reports and tests build the
+dense matrix. The oracle writes its relations as sparse columns, from
+per-vertex lists of out-edges and no path objects: level 1 of its
+generators is the edges sorted by id, and each longer level lists every
+parent's extensions together, in parent order, sorted by edge id. Most
+of its columns identify a path with its range vertex, and
 ``sparse_cokernel`` merges them first, which reduces the path-space
 presentation to the vertex one (Matui, Proc. LMS 2012).
 """
@@ -39,7 +38,7 @@ from operator import add, attrgetter, mul
 
 from .graph import Graph, check_positive_weights
 from .intlinalg import (FpAbelianGroup, IntMatrix, SmithDecomposition,
-                        _int_vector, _left_kernel, _require_int,
+                        _group, _int_vector, _left_kernel, _require_int,
                         sparse_cokernel, sparse_smith_normal_form)
 
 
@@ -56,7 +55,7 @@ class H0Presentation:
 
     ``relation_columns`` holds the (vertex index, entry) nonzeros of each
     regular vertex's column, in the relation-column form of ``intlinalg``;
-    it is the one sparse form, which ``h0`` and ``smith`` read. The cached
+    it is the one sparse form, which ``smith`` reads. The cached
     properties are computed on first use and kept, so the queries on one
     graph share them; like the fields, they are immutable.
     """
@@ -79,6 +78,15 @@ class H0Presentation:
             for i, x in col:
                 rows[i][j] = x
         return IntMatrix(tuple(map(tuple, rows)), len(self.relation_columns))
+
+    @cached_property
+    def separators(self) -> tuple[tuple[int, ...], ...]:
+        """The entrywise-nonnegative functionals among the Hermite basis
+        rows of the left kernel and their negations: the candidates for
+        the Negative certificate of ``h0_is_positive``."""
+        return tuple(cand for row in _left_kernel(self.smith).rows
+                     for cand in (row, tuple(-x for x in row))
+                     if min(cand) >= 0)
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -115,8 +123,9 @@ def h0_presentation(g: Graph) -> H0Presentation:
 
 
 def h0(g: Graph) -> FpAbelianGroup:
-    pres = h0_presentation(g)
-    return sparse_cokernel(pres.relation_columns, len(pres.vertex_order))
+    """The group, read from the Smith diagonal of the presentation that
+    the class queries on g share."""
+    return _group(len(g.vertices), h0_presentation(g).smith.factors)
 
 
 def _class_coordinates(g: Graph, vec):
@@ -162,7 +171,8 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
     entrywise-nonnegative integer functional that kills every relation
     column and is negative on vec; the candidates are the Hermite basis
     vectors of the left kernel and their negations, taken from the Smith
-    decomposition that gave the coordinates.
+    decomposition that gave the coordinates and kept on the presentation
+    (``H0Presentation.separators``).
 
     The proof is sought first when vec has a negative entry (a
     nonnegative vec is its own representative, and no such functional is
@@ -200,10 +210,8 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
                 queue.append(nxt)
         return False
 
-    separated = min(vec) < 0 and any(
-        min(cand) >= 0 and sum(map(mul, cand, vec)) < 0
-        for row in _left_kernel(pres.smith).rows
-        for cand in (row, tuple(-x for x in row)))
+    separated = min(vec) < 0 and any(sum(map(mul, cand, vec)) < 0
+                                     for cand in pres.separators)
     if not separated and bfs(vec):
         return Verdict.POSITIVE
     if not bfs(tuple(-x for x in vec)):
@@ -226,8 +234,8 @@ def h0_bruteforce_oracle(g: Graph, max_len: int) -> FpAbelianGroup:
     because a column touches a path and its distinct one-edge extensions,
     or a path of positive length and its range vertex; each column lists
     its rows in increasing order. The second kind, most of the columns,
-    are identifications, which ``sparse_cokernel`` merges before its unit
-    pivots.
+    are identifications, which ``sparse_cokernel`` merges before its
+    elimination.
 
     No path is built: a level is the list of its paths' range vertices.
     Level 1 is the edges sorted by id, and from length 2 on a sorted level

@@ -36,16 +36,13 @@ it and only read it; ``smith_normal_form`` scans a dense matrix into rows
 and ``invariant_factors`` (behind ``cokernel``) into columns. The
 cokernels need only the diagonal, from the one cokernel path
 ``_sparse_factors``: a union-find first merges the identification columns
-+-(e_a - e_b), then +-1 pivots are eliminated, each step unimodular, so
-SNF(A) = diag(1, ..., 1, SNF(A')), and the rows of the small core A' go
-to ``_eliminate``. The Smith diagonal is unique, so all of them give the
-same factors.
++-(e_a - e_b), each merge a factor 1, so SNF(A) = diag(1, ..., 1,
+SNF(A')), and the rows of the rest A' go to ``_eliminate``. The Smith
+diagonal is unique, so both paths give the same factors.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict
 from dataclasses import dataclass
 from operator import add
 
@@ -232,7 +229,7 @@ class FpAbelianGroup:
 
 def _add_row(rows, cols, i, q, src):
     """rows[i] += q * rows[src] for q != 0, keeping the column sets
-    ``cols``: the one sparse row update of both eliminations. As q != 0,
+    ``cols``: the one sparse row update of ``_eliminate``. As q != 0,
     an entry new to rows[i] is nonzero."""
     row = rows[i]
     for j, x in rows[src].items():
@@ -427,86 +424,25 @@ def _sparse_factors(columns, nrows) -> tuple[int, ...]:
     relation columns (see the module docstring), which are only read.
 
     ``_merge_identifications`` first: each merge is a factor 1, and the
-    rest columns, rewritten on the class roots, are the matrix that the
-    unit pivots then work on, with rows keyed by root. On the relation
-    matrices of ``homology`` most columns are identifications: in the
-    path-space oracle every path of positive length is identified with
-    its range vertex, and what is left, repeats dropped, is the vertex
-    presentation with its own identifications merged.
-
-    Sparse unit-pivot elimination next, ``_eliminate`` on what is left. A
-    unit pivot a[i][j] = u = +-1 subtracts u * a[k][j] times row i from
-    every other row k, which clears column j outside row i; column
-    operations with the unit would clear the rest of row i without
-    touching any other row, so row i and column j are dropped and a factor
-    1 is counted. Every step is an elementary unimodular operation, so
-    after k unit pivots A ~ diag(I_k, A') and SNF(A) = diag(1, ..., 1,
-    SNF(A')), the 1s leading because 1 divides every factor. The rows of
-    the core A' go to ``_eliminate`` as they are, with its nonzero columns,
-    and only the factors are kept; the core is small on the relation
-    matrices of ``homology``, which have a unit in nearly every column.
-
-    Pivot rule: columns sit in a lazy heap keyed (nonzero count, column).
-    The loop pops the column with the fewest nonzeros, drops the key if
-    it no longer matches the column's count, and pivots on a unit of that
-    column, in the shortest row that has one, the lowest row id among
-    rows of that length; a column without a unit is skipped. The Smith
-    diagonal is unique, so the rule affects speed only, never the result,
-    which equals ``smith_normal_form(a).factors``: the units, the nonzero
-    core factors, then zeros up to min(nrows, ncols).
-
-    The other rows are updated by ``_add_row``, as in ``_eliminate``; a
-    spent pivot column stays in ``cols`` as an empty set, which the core
-    leaves out. A pivot costs one pass over its column to find the row
-    and one ``_add_row`` per other row in it, and builds no list; a
-    column's set is made once, not once per entry. A step writes entries
-    only in the columns of the pivot row, and only their counts change,
-    so each of those columns is pushed again at its new count. Every
-    other column keeps its entries and its current key, or was popped
-    without a unit and still has none. So a column holding a unit always
-    has a current key, and the loop ends with no unit left.
+    rest columns, rewritten on the class roots, form the core A' with
+    A ~ diag(I_k, A'). Its nonempty rows go to ``_eliminate``, and only
+    the nonzero factors of the core are kept, so the result is the merged
+    1s, the core's nonzero factors, then zeros up to min(nrows, ncols):
+    ``smith_normal_form(a).factors``, the Smith diagonal being unique. On
+    the relation matrices of ``homology`` most columns are
+    identifications: in the path-space oracle every path of positive
+    length is identified with its range vertex, and what is left, repeats
+    dropped, is the vertex presentation with its own identifications
+    merged.
     """
-    units, rest = _merge_identifications(columns, nrows)
-    rows, cols = defaultdict(dict), {}
+    merges, rest = _merge_identifications(columns, nrows)
+    rows = {}
     for j, col in enumerate(rest):
-        cols[j] = ids = set()
         for i, x in col:
-            rows[i][j] = x
-            ids.add(i)
-    heap = [(len(col), j) for j, col in cols.items()]
-    heapq.heapify(heap)
-    while heap:
-        count, j = heapq.heappop(heap)
-        col = cols[j]
-        if len(col) != count:
-            continue
-        i = None
-        for k in col:
-            row = rows[k]
-            if row[j] in (1, -1) and (i is None or len(row) < size
-                                      or len(row) == size and k < i):
-                i, size = k, len(row)
-        if i is None:
-            continue
-        u = rows[i][j]
-        # each update clears row k's entry in column j, and k is taken
-        # out of the column first, so col empties as the rows are done
-        col.remove(i)
-        while col:
-            k = col.pop()
-            _add_row(rows, cols, k, -rows[k][j] * u, i)
-            if not rows[k]:
-                del rows[k]
-        prow = rows.pop(i)
-        for jj in prow:
-            cols[jj].discard(i)
-            if cols[jj]:
-                heapq.heappush(heap, (len(cols[jj]), jj))
-        units += 1
-    factors = (1,) * units
+            rows.setdefault(i, {})[j] = x
+    factors = (1,) * merges
     if rows:
-        core = _eliminate(list(rows.values()),
-                          sorted(j for j, col in cols.items() if col))
+        core = _eliminate(list(rows.values()), range(len(rest)))
         factors += tuple(d for d in core.factors if d)
     return factors + (0,) * (min(nrows, len(columns)) - len(factors))
 

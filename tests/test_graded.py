@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from grhom.corpus import enumerate_multigraphs, random_graph
 from grhom.graded import (GradedModule, StagedVector, _decision_depth,
-                          dimension_triple,
+                          _sample_elements, dimension_triple,
                           equals, graded_module, is_positive, lambda_map,
                           parse_staged_expression, pushdown, sigma_map,
                           verify_exact_sequence, x_action)
@@ -780,6 +780,19 @@ class TestExactSequence:
         rep = verify_exact_sequence(g)
         assert rep["coker_lambda_group"] == full_window_coker_lambda(g)
         assert rep["coker_lambda_equals_h0"] is True
+
+    @given(weighted_graphs(max_vertices=12, max_weight=9))
+    def test_sample_combination_is_the_n_fold_sum(self, g):
+        """The last sample element, built in one pass, is the sum of the
+        weighted generators added one at a time."""
+        m = graded_module(g)
+        combo = StagedVector.zero()
+        for i, v in enumerate(g.vertices):
+            combo = combo + m.generator(v, i - 1, coeff=2 * i - 3)
+        samples = list(_sample_elements(m))
+        assert len(samples) == 5 * m.nvertices + 1
+        assert samples[-1] == combo
+        assert verify_exact_sequence(g)["sigma_lambda_zero"] is True
 
 
 def full_window_coker_lambda(g):

@@ -5,15 +5,15 @@ from random import Random
 
 import pytest
 
-from grhom import homology
+from grhom import homology, intlinalg
 from grhom.corpus import enumerate_multigraphs, random_graph
 from grhom.graph import (Path, adjacency, check_positive_weights,
                          classify_vertices, enumerate_paths, graph_from_dict,
                          graph_to_dict, path_range, VertexClass)
 from grhom.homology import (Verdict, h0, h0_bruteforce_oracle, h0_class,
                             h0_is_positive, h0_presentation)
-from grhom.intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, cokernel,
-                             sparse_cokernel)
+from grhom.intlinalg import (FpAbelianGroup, IntMatrix, SmithDecomposition,
+                             _int_vector, cokernel, sparse_cokernel)
 from linalg_helpers import in_column_span
 from test_intlinalg import reference_kernel_basis
 
@@ -447,13 +447,17 @@ class TestOracleMatchesReference:
 
 
 class TestPresentationMemo:
-    """One presentation and one Smith elimination per graph object."""
+    """One presentation, one Smith elimination and one walk back through
+    its log per graph object: h0 reads the diagonal, and the Negative
+    certificates are kept."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         counts = Counter()
         build = homology.H0Presentation
         smith = homology.sparse_smith_normal_form
+        eliminate = intlinalg._eliminate
+        u_rows = SmithDecomposition.u_rows
 
         def counted_build(**kwargs):
             counts["presentation"] += 1
@@ -463,9 +467,19 @@ class TestPresentationMemo:
             counts["smith"] += 1
             return smith(columns, nrows)
 
+        def counted_eliminate(rows, col_ids):
+            counts["eliminate"] += 1
+            return eliminate(rows, col_ids)
+
+        def counted_u_rows(dec, positions):
+            counts["u_rows"] += 1
+            return u_rows(dec, positions)
+
         monkeypatch.setattr(homology, "H0Presentation", counted_build)
         monkeypatch.setattr(homology, "sparse_smith_normal_form",
                             counted_smith)
+        monkeypatch.setattr(intlinalg, "_eliminate", counted_eliminate)
+        monkeypatch.setattr(SmithDecomposition, "u_rows", counted_u_rows)
         return counts
 
     def queries(self, g, vecs):
@@ -480,10 +494,14 @@ class TestPresentationMemo:
                     for _ in range(4)]
             builds.clear()
             first = self.queries(g, vecs)
-            assert builds == {"presentation": 1, "smith": 1}
+            once = {"presentation": 1, "smith": 1, "eliminate": 1}
+            if sinks:
+                # a free part: mixed-sign vectors reach the certificates
+                once["u_rows"] = 1
+            assert builds == once
             assert self.queries(g, vecs) == first
             assert h0_presentation(g) is h0_presentation(g)
-            assert builds == {"presentation": 1, "smith": 1}
+            assert builds == once
             fresh = [graph_from_dict(graph_to_dict(g)) for _ in range(3)]
             assert h0(fresh[0]) == first[0]
             assert [h0_class(fresh[1], v) for v in vecs] == first[1]
@@ -526,7 +544,7 @@ class TestPresentationMemo:
         assert pres.columns == ((0, -1), (-1, 1))
         assert all(type(col) is tuple for col in pres.columns)
         assert type(pres.columns) is tuple
-        for name in ("columns", "smith", "relations"):
+        for name in ("columns", "smith", "relations", "separators"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(pres, name, None)
             with pytest.raises(dataclasses.FrozenInstanceError):

@@ -357,7 +357,7 @@ class TestDiagonalizeMatchesReference:
     ``u_apply``, the log replayed forward. The reference also builds the
     diagonal and v, which the elimination does not keep. The sparse
     invariant_factors is held to the reference's factors as well, so its
-    unit pivots and non-unit core face an independent elimination."""
+    merges and the core left after them face an independent elimination."""
 
     @staticmethod
     def check(a, positions, vec):
@@ -432,8 +432,8 @@ class TestDiagonalizeMatchesReference:
 
 
 class TestSparseUnitElimination:
-    """invariant_factors (unit pivots, then dense core) against the
-    dense smith_normal_form."""
+    """invariant_factors (identifications merged, then the rest
+    eliminated) against the dense smith_normal_form."""
 
     @given(sparse_matrix())
     def test_sparse_agrees_with_dense(self, a):
@@ -456,6 +456,9 @@ class TestSparseUnitElimination:
         # pivot 1 turns the 4 into 4 - 3 * 2 = -2
         a = mat([[1, 2], [3, 4]])
         assert invariant_factors(a) == smith_normal_form(a).factors == (1, 2)
+        # the pivot at (0, 1) turns the 3 into 3 - 2 = 1, a second unit
+        a = mat([[2, 1], [3, 1]])
+        assert invariant_factors(a) == smith_normal_form(a).factors == (1, 1)
 
     @pytest.fixture
     def oracle_5v(self, monkeypatch):
@@ -490,48 +493,38 @@ class TestSparseUnitElimination:
     @pytest.fixture
     def work(self, monkeypatch):
         """The work of ``_sparse_factors`` from here on: the merges and
-        rest columns of ``_merge_identifications``; the ``_add_row`` calls
-        and the entries they read, before and inside the core, and the
-        pivot row of each; per core its rows, columns, nonzeros, nonzero
-        factors and 1s. ``pivots(factors)`` gives the heap's unit pivots:
-        the 1s that neither a merge nor a core made."""
+        rest columns of ``_merge_identifications``; per core handed to
+        ``_eliminate`` its rows, columns, nonzeros, nonzero factors and
+        1s; and the ``_add_row`` calls, the entries they read and the
+        pivot row of each."""
         merge = intlinalg._merge_identifications
         add_row, eliminate = intlinalg._add_row, intlinalg._eliminate
-        work = {"merges": 0, "rest": 0, "unit": [0, 0], "core": [0, 0],
-                "cores": [], "pivot_rows": []}
-        phase = ["unit"]
+        work = {"merges": 0, "rest": 0, "add_row": [0, 0], "cores": [],
+                "pivot_rows": []}
 
         def counted_merge(columns, nrows):
             merges, rest = merge(columns, nrows)
             work["merges"] += merges
             work["rest"] += len(rest)
-            phase[0] = "unit"
             return merges, rest
 
         def counted_add_row(rows, cols, i, q, src):
-            count = work[phase[0]]
-            count[0] += 1
-            count[1] += len(rows[src])
+            work["add_row"][0] += 1
+            work["add_row"][1] += len(rows[src])
             work["pivot_rows"].append(src)
             return add_row(rows, cols, i, q, src)
 
         def counted_eliminate(rows, col_ids):
-            phase[0] = "core"
             shape = (len(rows), len(col_ids), sum(map(len, rows)))
             dec = eliminate(rows, col_ids)
             work["cores"].append(shape + (
                 sum(1 for d in dec.factors if d), dec.factors.count(1)))
             return dec
 
-        def pivots(factors):
-            return (factors.count(1) - work["merges"]
-                    - sum(c[-1] for c in work["cores"]))
-
         monkeypatch.setattr(intlinalg, "_merge_identifications",
                             counted_merge)
         monkeypatch.setattr(intlinalg, "_add_row", counted_add_row)
         monkeypatch.setattr(intlinalg, "_eliminate", counted_eliminate)
-        work["pivots"] = pivots
         return work
 
     def test_oracle_matrix_agrees_with_dense(self, oracle_5v):
@@ -541,28 +534,27 @@ class TestSparseUnitElimination:
         assert group == homology.h0(g)
 
     def test_oracle_matrix_pivot_counts(self, oracle_5v, work):
-        """The documented elimination, pinned by its work on the oracle's
-        columns: the merges and the rest columns; the heap's unit pivots;
-        the ``_add_row`` calls before and inside the core, with the
-        entries they read; and the core's rows, columns, nonzeros and
-        nonzero factors. A different merge or pivot rule changes them."""
+        """The documented path, pinned by its work on the oracle's
+        columns: the merges and the rest columns; the one core that
+        ``_eliminate`` gets, its rows, columns and nonzeros, nonzero
+        factors and 1s; and its ``_add_row`` calls, with the entries they
+        read and their pivot rows. A different merge rule or core changes
+        them."""
         _, a, columns, group = oracle_5v
         factors = intlinalg._sparse_factors(columns, a.nrows)
         assert intlinalg._group(a.nrows, factors) == group
         assert a.shape == (309, 426)
         assert (work["merges"], work["rest"]) == (304, 5)
-        assert work["pivots"](factors) == 4
-        assert (work["unit"], work["core"]) == ([4, 10], [0, 0])
-        assert work["cores"] == [(1, 1, 1, 1, 0)]
-        # the pivot row of each update, in order: ties between rows of
-        # one length go to the lower row id
-        assert work["pivot_rows"] == [2, 3, 4, 0]
+        assert work["cores"] == [(5, 5, 13, 5, 4)]
+        assert factors.count(1) == 304 + 4
+        assert work["add_row"] == [5, 12]
+        assert work["pivot_rows"] == [0, 1, 1, 2, 4]
 
     def test_out_degree_one_needs_no_pivot(self, work):
         """When every regular vertex has one out-edge, each relation
-        column of ``h0`` is an identification or, for a loop, zero, so
-        the merges make every factor 1: no heap pivot, no ``_add_row``
-        and no core."""
+        column is an identification or, for a loop, zero, so
+        ``sparse_cokernel`` gets every factor from the merges: no
+        ``_add_row`` and no core."""
         rng = Random(67)
         merged = 0
         for n in (1, 2, 5, 12, 40):
@@ -573,33 +565,17 @@ class TestSparseUnitElimination:
                     {"id": "e%d" % i, "src": names[i],
                      "dst": names[rng.randrange(n)]}
                     for i in range(sinks, n)]})
+                pres = homology.h0_presentation(g)
                 before = work["merges"]
-                group = homology.h0(g)
-                a = homology.h0_presentation(g).relations
-                factors = reference_diagonalize(a, False)[3]
+                group = sparse_cokernel(pres.relation_columns, n)
+                factors = reference_diagonalize(pres.relations, False)[3]
                 ones = sum(1 for d in factors if d)
                 assert group == FpAbelianGroup(n - ones, ())
                 assert work["merges"] - before == ones
                 merged += ones
         assert merged > 50
-        assert work["unit"] == work["core"] == [0, 0]
+        assert work["add_row"] == [0, 0]
         assert work["cores"] == []
-
-    def test_unit_from_fill_is_pivoted(self, monkeypatch):
-        # column 0 has no unit when first popped; the pivot at (0, 1)
-        # turns its 3 into 3 - 2 = 1, and that unit must be found too
-        a = mat([[2, 1], [3, 1]])
-        assert smith_normal_form(a).factors == (1, 1)
-        cores = []
-        eliminate = intlinalg._eliminate
-
-        def record(rows, col_ids):
-            cores.append(rows)
-            return eliminate(rows, col_ids)
-
-        monkeypatch.setattr(intlinalg, "_eliminate", record)
-        assert invariant_factors(a) == (1, 1)
-        assert cores == []
 
     def test_large_oracle_matches_h0(self, graph_f):
         # 2^14 - 1 = 16383 path generators
