@@ -456,9 +456,6 @@ class TestSparseUnitElimination:
         # pivot 1 turns the 4 into 4 - 3 * 2 = -2
         a = mat([[1, 2], [3, 4]])
         assert invariant_factors(a) == smith_normal_form(a).factors == (1, 2)
-        # the pivot at (0, 1) turns the 3 into 3 - 2 = 1, a second unit
-        a = mat([[2, 1], [3, 1]])
-        assert invariant_factors(a) == smith_normal_form(a).factors == (1, 1)
 
     @pytest.fixture
     def oracle_5v(self, monkeypatch):
@@ -576,6 +573,17 @@ class TestSparseUnitElimination:
         assert merged > 50
         assert work["add_row"] == [0, 0]
         assert work["cores"] == []
+
+    def test_unit_from_fill_is_pivoted(self, work):
+        # no identification to merge, so the core is the whole matrix;
+        # the pivot at (0, 1) turns the 3 into 3 - 2 = 1, and that unit
+        # must be found too, with no further row update
+        a = mat([[2, 1], [3, 1]])
+        assert invariant_factors(a) == (1, 1)
+        assert work["cores"] == [(2, 2, 4, 2, 2)]
+        assert work["add_row"] == [1, 2]
+        assert work["pivot_rows"] == [0]
+        assert smith_normal_form(a).factors == (1, 1)
 
     def test_large_oracle_matches_h0(self, graph_f):
         # 2^14 - 1 = 16383 path generators
