@@ -18,11 +18,13 @@ a proof of inequivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import and_, mul, rshift
 
 from .graph import Graph, adjacency, check_unit_sink_free
-from .homology import h0
+from .homology import h0_presentation
 from .intlinalg import (FpAbelianGroup, IntMatrix, _require_int, kernel_basis,
-                        mat_pow)
+                        mat_pow, sparse_cokernel)
 
 
 @dataclass(frozen=True)
@@ -187,48 +189,81 @@ def characteristic_polynomial(a: IntMatrix) -> tuple[int, ...]:
     matrix of integer polynomials, so every division by k below is exact
     and ``ArithmeticError`` can only mean a bug.
 
-    Row i of A^k is packed into one int with signed slots of w bits,
-    P_i = sum_j (A^k)_ij 2^(w j), and row i of A^(k+1) is
-    sum_j A_ij P_j. Slots never carry into each other: with rho the
-    largest absolute row sum of A (at least 1), the infinity norm is
-    submultiplicative, so |(A^k)_ij| <= ||A^k|| <= rho^k <= rho^n for
-    k <= n, and w = bitlength(rho^n) + 1 gives |(A^k)_ij| < 2^(w-1).
-    Adding H, which holds 2^(w-1) in every slot, makes every slot a digit
-    in [0, 2^w), so slot i of P_i + H is (A^k)_ii + 2^(w-1) whatever the
-    signs, and p_k is the sum of these slots less n 2^(w-1).
+    Row i of A^k is packed into one int with slots of w bits,
+    Q_i = sum_j ((A^k)_ij + h) 2^(w j), where h = 2^(w-1) when A has a
+    negative entry and h = 0 when A >= 0. With rho the largest absolute
+    row sum of A (at least 1), the infinity norm is submultiplicative, so
+    |(A^k)_ij| <= ||A^k|| <= rho^k <= rho^n for k <= n, and
+    w = bitlength(rho^n) + 1 gives |(A^k)_ij| < 2^(w-1).
+
+    No slot borrows or carries. Every digit (A^k)_ij + h lies in
+    [0, 2^w): in (0, 2^w) when h = 2^(w-1), and in [0, 2^(w-1)) when
+    h = 0, as A >= 0 makes A^k >= 0. The base-2^w expansion of a
+    nonnegative int is unique, so these are the digits of Q_i, and slot i
+    reads (Q_i >> w i) & (2^w - 1) = (A^k)_ii + h exactly: one shift and
+    one mask. p_k is the sum of the n slots less n h.
+
+    The products. Let H = sum_j h 2^(w j) (``fill`` below), the packed
+    row with h in every slot, and P_j = Q_j - H the packed row of A^k
+    itself. Packing is linear, so row i of A^(k+1) packs to
+    sum_j A_ij P_j, and
+    Q'_i = sum_j A_ij Q_j - (r_i - 1) H, with r_i = sum_j A_ij the row
+    sum. This is an identity of ints, whatever sign the partial sums
+    take. H = 0 when A >= 0, adjacency matrices among them, and then no
+    correction is made; a zero row of A gives Q'_i = H.
 
     Cost: A is validated once and its nonzeros are read once per row.
     Each of the n - 1 products costs nnz(A) big-int multiply-adds on ints
-    of n w bits, and each power sum n additions, shifts and masks of such
-    ints; no entry of A^k is handled on its own. The width follows the
-    bound rho^n, not the size the entries of A^k reach, so one heavy
-    entry widens every slot: a cycle of n vertices with one edge of
-    weight 10^6 has entries of at most 20 bits but slots of about 20 n.
+    of at most n w bits, an entry x = 1 adding Q_j without a multiply and
+    each row starting from its first term, plus, only when A has a
+    negative entry, one subtraction per row whose sum is not 1. Each power
+    sum costs n shifts and masks; no int is added to read a slot, and no
+    entry of A^k is handled on its own. When A >= 0, Q_i has no bits
+    above its last nonzero slot, so a sparse A keeps its packed rows
+    short. The width follows the bound rho^n, not the size the entries of
+    A^k reach, so one heavy entry widens every slot: a cycle of n
+    vertices with one edge of weight 10^6 has entries of at most 20 bits
+    but slots of about 20 n.
     """
     _require_square(a, "A")
     n = a.nrows
-    rho = max([1] + [sum(map(abs, row)) for row in a.rows])
+    abs_sums = [sum(map(abs, row)) for row in a.rows]
+    row_sums = [sum(row) for row in a.rows]
+    rho = max([1] + abs_sums)
     w = (rho ** n).bit_length() + 1
     shifts = [w * i for i in range(n)]
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    fill = sum(half << s for s in shifts)
+    mask = (1 << w) - 1
     nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in a.rows]
-    power = [sum(x << shifts[j] for j, x in terms) for terms in nonzeros]
+    if abs_sums == row_sums:  # A >= 0
+        h = fill = 0
+        offsets = [0] * n
+    else:
+        h = 1 << (w - 1)
+        fill = sum(h << s for s in shifts)
+        offsets = [(r - 1) * fill for r in row_sums]
+    power = [sum(x << shifts[j] for j, x in terms) + fill
+             for terms in nonzeros]
+    heads = [terms[0] if terms else None for terms in nonzeros]
+    tails = [terms[1:] for terms in nonzeros]
     coeffs, sums = [1], []
     for k in range(1, n + 1):
-        sums.append(sum(((row + fill) >> s) & mask
-                        for row, s in zip(power, shifts)) - n * half)
-        t = sum(c * p for c, p in zip(coeffs, reversed(sums)))
+        sums.append(sum(map(and_, map(rshift, power, shifts), repeat(mask)))
+                    - n * h)
+        t = sum(map(mul, coeffs, reversed(sums)))
         if t % k:
             raise ArithmeticError("power sum %d not divisible by %d" % (t, k))
         coeffs.append(-(t // k))
         if k < n:
             rows = []
-            for terms in nonzeros:
-                acc = 0
-                for j, x in terms:
+            for head, tail, off in zip(heads, tails, offsets):
+                if head is None:
+                    rows.append(-off)
+                    continue
+                j, x = head
+                acc = power[j] if x == 1 else x * power[j]
+                for j, x in tail:
                     acc += power[j] if x == 1 else x * power[j]
-                rows.append(acc)
+                rows.append(acc - off if off else acc)
             power = rows
     return tuple(coeffs)
 
@@ -262,9 +297,18 @@ class GraphInvariants:
 
 def graph_invariants(g: Graph) -> GraphInvariants:
     """The two invariants the comparison pipeline distinguishes by: the
-    homology group and the nonzero-spectrum fingerprint."""
-    return GraphInvariants(h0_group=h0(g),
-                           spectrum=nonzero_spectrum_fingerprint(adjacency(g)))
+    homology group and the nonzero-spectrum fingerprint.
+
+    The group is ``homology.h0(g)``, but read from the untracked cokernel
+    of the presentation's relation columns: nothing here reads class
+    coordinates, so the logged elimination that ``h0`` shares with the
+    class queries is neither run nor kept on the presentation. The Smith
+    diagonal is unique, so both give the same group."""
+    pres = h0_presentation(g)
+    return GraphInvariants(
+        h0_group=sparse_cokernel(pres.relation_columns,
+                                 len(pres.vertex_order)),
+        spectrum=nonzero_spectrum_fingerprint(adjacency(g)))
 
 
 @dataclass(frozen=True)

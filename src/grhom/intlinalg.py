@@ -37,8 +37,8 @@ and ``invariant_factors`` (behind ``cokernel``) into columns. The
 cokernels need only the diagonal, from the one cokernel path
 ``_sparse_factors``: a union-find first merges the identification columns
 +-(e_a - e_b), each merge a factor 1, so SNF(A) = diag(1, ..., 1,
-SNF(A')), and the rows of the rest A' go to ``_eliminate``. The Smith
-diagonal is unique, so both paths give the same factors.
+SNF(A')), and the rows of the rest A' go to ``_eliminate``, sparsest
+first. The Smith diagonal is unique, so both paths give the same factors.
 """
 
 from __future__ import annotations
@@ -434,15 +434,25 @@ def _sparse_factors(columns, nrows) -> tuple[int, ...]:
     length is identified with its range vertex, and what is left, repeats
     dropped, is the vertex presentation with its own identifications
     merged.
+
+    The core goes sparsest first: its columns sorted by length, then its
+    rows. ``_eliminate`` takes the first +-1 in row-major order, so it
+    meets the units of short rows first, and a pivot on a short row adds
+    few entries to the rows it clears. Permuting rows or columns is a
+    unimodular change of basis, so the Smith diagonal, and with it every
+    factor, is that of the core as given: the order changes only the
+    work. ``sorted`` is stable, so the order, and so the work, is fixed
+    by the input.
     """
     merges, rest = _merge_identifications(columns, nrows)
+    rest = sorted(rest, key=len)
     rows = {}
     for j, col in enumerate(rest):
         for i, x in col:
             rows.setdefault(i, {})[j] = x
     factors = (1,) * merges
     if rows:
-        core = _eliminate(list(rows.values()), range(len(rest)))
+        core = _eliminate(sorted(rows.values(), key=len), range(len(rest)))
         factors += tuple(d for d in core.factors if d)
     return factors + (0,) * (min(nrows, len(columns)) - len(factors))
 

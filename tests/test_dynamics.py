@@ -16,13 +16,23 @@ from grhom.dynamics import (SearchBudget, ShiftEquivalenceCertificate,
                             search_shift_equivalence, verify_shift_equivalence)
 from grhom.graded import dimension_triple
 from grhom.graph import adjacency, graph_from_dict, graph_to_dict
-from grhom.homology import Verdict, h0
+from grhom.homology import Verdict, h0, h0_presentation
 from grhom.intlinalg import IntMatrix, mat_pow
 from linalg_helpers import det, row_sum_two
 
 
 def mat(rows):
     return IntMatrix.from_rows(rows)
+
+
+def graph_of(a):
+    """The graph with adjacency matrix a: vertices v0, v1, ..., and
+    a_ij parallel edges from vi to vj."""
+    names = ["v%d" % i for i in range(a.nrows)]
+    return graph_from_dict({"vertices": names, "edges": [
+        {"id": "e%d_%d_%d" % (i, j, k), "src": names[i], "dst": names[j]}
+        for i, row in enumerate(a.rows) for j, x in enumerate(row)
+        for k in range(x)]})
 
 
 def permuted(g):
@@ -483,6 +493,49 @@ class TestSpectrum:
     def test_small_agrees_with_determinant(self, a):
         self.agrees_with_determinant(a)
 
+    @given(st.data())
+    def test_nonnegative_heavy_matches_reference(self, data):
+        """The unoffset path (A >= 0, packed rows with h = 0): n in 0..8,
+        entries up to 10^6 with 0 and 1 drawn often, and a drawn set of
+        rows zeroed, whose packed rows stay 0."""
+        n = data.draw(st.integers(0, 8))
+        a = [list(row) for row in data.draw(square(n, st.one_of(
+            st.sampled_from((0, 1)), st.integers(0, 10 ** 6)))).rows]
+        for i in data.draw(st.sets(st.integers(0, n - 1)) if n
+                           else st.just(set())):
+            a[i] = [0] * n
+        a = IntMatrix(tuple(map(tuple, a)), n)
+        assert characteristic_polynomial(a) == \
+            reference_characteristic_polynomial(a)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_signed_row_sum_one_matches_reference(self, seed):
+        """The offset path with no correction: a signed matrix whose row
+        sums are all 1, so Q'_i = sum_j A_ij Q_j exactly."""
+        rng = Random(seed)
+        n = 3 + 2 * seed
+        rows = []
+        for _ in range(n):
+            row = [rng.randint(-5, 5) for _ in range(n - 1)]
+            rows.append(row + [1 - sum(row)])
+        rows[0][0] = -abs(rows[0][0]) - 1
+        rows[0][-1] = 1 - sum(rows[0][:-1])
+        a = mat(rows)
+        assert all(sum(row) == 1 for row in a.rows)
+        assert not a.is_nonneg()
+        assert characteristic_polynomial(a) == \
+            reference_characteristic_polynomial(a)
+
+    def test_weighted_cycle(self):
+        """A 60-cycle with one edge of weight 10^6: A^60 = 10^6 I and
+        every shorter power has a zero diagonal, so det(tI - A) is
+        t^60 - 10^6."""
+        n = 60
+        rows = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+        rows[n - 1][0] = 10 ** 6
+        assert characteristic_polynomial(mat(rows)) == \
+            (1,) + (0,) * (n - 1) + (-10 ** 6,)
+
 
 class TestVerdictPipeline:
     @pytest.mark.parametrize("bad", [2.5, 1.5, True, "2"])
@@ -544,6 +597,39 @@ class TestVerdictPipeline:
         for g in (graph_e, full2, triple_loop):
             assert graph_invariants(permuted(g)) == graph_invariants(g)
             assert graph_invariants(g).h0_group == h0(g)
+
+    @staticmethod
+    def builds_no_tracked_form(g):
+        """graph_invariants(g) leaves no Smith decomposition on the
+        presentation, and its group is h0(g), which does build one."""
+        group = graph_invariants(g).h0_group
+        pres = h0_presentation(g)
+        assert "smith" not in vars(pres)
+        assert group == h0(g)
+        assert "smith" in vars(pres)
+
+    @pytest.mark.parametrize("n", [20, 30, 40, 60])
+    def test_compare_shapes_build_no_tracked_form(self, n):
+        """The large compare shapes: every row sum 2, targets drawn with
+        repetition, so loops and parallel edges occur."""
+        loops = parallel = False
+        for seed in range(4):
+            a = row_sum_two(1000 * n + seed, n)
+            loops |= any(a.rows[i][i] for i in range(n))
+            parallel |= any(x == 2 for row in a.rows for x in row)
+            self.builds_no_tracked_form(graph_of(a))
+        assert loops and parallel
+
+    def test_identification_columns_build_no_tracked_form(self,
+                                                          seeded_graph):
+        """Graphs with sinks and vertices of out-degree one, so that some
+        relation columns are identifications e_v - e_w, which the
+        untracked cokernel merges first."""
+        for seed in range(12):
+            g = seeded_graph(700 + seed, 10 + 5 * seed, sinks=bool(seed % 2))
+            assert any(len(col) == 2 and sorted(x for _, x in col) == [-1, 1]
+                       for col in h0_presentation(g).relation_columns)
+            self.builds_no_tracked_form(g)
 
     def test_report_round_trips_json(self, graph_f, full2):
         budget = SearchBudget(max_lag=2, entry_bound=2)

@@ -535,7 +535,8 @@ class TestSparseUnitElimination:
         columns: the merges and the rest columns; the one core that
         ``_eliminate`` gets, its rows, columns and nonzeros, nonzero
         factors and 1s; and its ``_add_row`` calls, with the entries they
-        read and their pivot rows. A different merge rule or core changes
+        read and their pivot rows, indices into the core's rows as listed
+        sparsest first. A different merge rule, core or order changes
         them."""
         _, a, columns, group = oracle_5v
         factors = intlinalg._sparse_factors(columns, a.nrows)
@@ -544,8 +545,8 @@ class TestSparseUnitElimination:
         assert (work["merges"], work["rest"]) == (304, 5)
         assert work["cores"] == [(5, 5, 13, 5, 4)]
         assert factors.count(1) == 304 + 4
-        assert work["add_row"] == [5, 12]
-        assert work["pivot_rows"] == [0, 1, 1, 2, 4]
+        assert work["add_row"] == [6, 12]
+        assert work["pivot_rows"] == [0, 1, 1, 2, 2, 3]
 
     def test_out_degree_one_needs_no_pivot(self, work):
         """When every regular vertex has one out-edge, each relation
