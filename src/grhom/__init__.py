@@ -12,9 +12,9 @@ from .graph import (Edge, Graph, GraphFormatError, Path, StagedEdge,
                     graph_to_dict, load_graph, make_path, parse_graph,
                     path_range, path_weight, serialize_graph)
 from .intlinalg import (FpAbelianGroup, IntMatrix, SmithDecomposition,
-                        cokernel, eventual_kernel, hermite_row_basis,
-                        invariant_factors, kernel_basis, mat_pow,
-                        mat_pow_apply, smith_normal_form)
+                        characteristic_polynomial, cokernel, eventual_kernel,
+                        hermite_row_basis, invariant_factors, kernel_basis,
+                        mat_pow, mat_pow_apply, smith_normal_form)
 from .diagonal import (DiagonalElement, SpecialEdgeChoice, expand, multiply,
                        normal_form, parse_diagonal_expression, to_h0_class)
 from .homology import (H0Presentation, Verdict, h0, h0_bruteforce_oracle,
@@ -24,10 +24,9 @@ from .graded import (DimensionTriple, GradedModule, StagedVector,
                      lambda_map, parse_staged_expression, pushdown, sigma_map,
                      verify_exact_sequence, x_action)
 from .dynamics import (GraphInvariants, InvariantReport, SearchBudget,
-                       ShiftEquivalenceCertificate, characteristic_polynomial,
-                       eventual_conjugacy_verdict, graph_invariants,
-                       nonzero_spectrum_fingerprint, search_shift_equivalence,
-                       verify_shift_equivalence)
+                       ShiftEquivalenceCertificate, eventual_conjugacy_verdict,
+                       graph_invariants, nonzero_spectrum_fingerprint,
+                       search_shift_equivalence, verify_shift_equivalence)
 
 __all__ = [
     "Edge", "Graph", "GraphFormatError", "Path", "StagedEdge", "StagedGraph",
@@ -35,9 +34,10 @@ __all__ = [
     "enumerate_paths", "graph_from_dict", "graph_to_dict", "load_graph",
     "make_path", "parse_graph", "path_range", "path_weight",
     "serialize_graph",
-    "FpAbelianGroup", "IntMatrix", "SmithDecomposition", "cokernel",
-    "eventual_kernel", "hermite_row_basis", "invariant_factors",
-    "kernel_basis", "mat_pow", "mat_pow_apply", "smith_normal_form",
+    "FpAbelianGroup", "IntMatrix", "SmithDecomposition",
+    "characteristic_polynomial", "cokernel", "eventual_kernel",
+    "hermite_row_basis", "invariant_factors", "kernel_basis", "mat_pow",
+    "mat_pow_apply", "smith_normal_form",
     "DiagonalElement", "SpecialEdgeChoice", "expand", "multiply",
     "normal_form", "parse_diagonal_expression", "to_h0_class",
     "H0Presentation", "Verdict", "h0", "h0_bruteforce_oracle", "h0_class",
@@ -47,10 +47,9 @@ __all__ = [
     "parse_staged_expression", "pushdown", "sigma_map",
     "verify_exact_sequence", "x_action",
     "GraphInvariants", "InvariantReport", "SearchBudget",
-    "ShiftEquivalenceCertificate", "characteristic_polynomial",
-    "eventual_conjugacy_verdict", "graph_invariants",
-    "nonzero_spectrum_fingerprint", "search_shift_equivalence",
-    "verify_shift_equivalence",
+    "ShiftEquivalenceCertificate", "eventual_conjugacy_verdict",
+    "graph_invariants", "nonzero_spectrum_fingerprint",
+    "search_shift_equivalence", "verify_shift_equivalence",
 ]
 
 __version__ = "0.1.0"

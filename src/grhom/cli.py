@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .diagonal import SpecialEdgeChoice, normal_form, parse_diagonal_expression
@@ -19,8 +18,8 @@ from .dynamics import SearchBudget, eventual_conjugacy_verdict
 from .graded import (StagedVector, dimension_triple, equals, graded_module,
                      is_positive, parse_staged_expression,
                      verify_exact_sequence)
-from .graph import (GraphFormatError, covering_graph, enumerate_paths,
-                    load_graph)
+from .graph import (GraphFormatError, _json_text, covering_graph,
+                    enumerate_paths, load_graph)
 from .homology import h0, h0_bruteforce_oracle, h0_presentation
 
 _CONVENTIONS = {
@@ -259,7 +258,8 @@ def _build_parser() -> _Parser:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2))
+    """Write ``obj`` as the bytes of ``json.dumps(obj, indent=2)``."""
+    sys.stdout.write(_json_text(obj))
     sys.stdout.write("\n")
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import add, mul, neg, sub
 
 from .graph import (Graph, _looks_like_int, _split_terms, adjacency,
                     check_positive_weights, check_unit_sink_free)
@@ -30,6 +32,10 @@ from .homology import Verdict, h0
 from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, _require_int,
                         cokernel, eventual_kernel, mat_pow_apply,
                         sparse_cokernel)
+
+
+def _negated(vec) -> tuple[int, ...]:
+    return tuple(map(neg, vec))
 
 
 @dataclass(frozen=True)
@@ -86,28 +92,31 @@ class StagedVector:
         return StagedVector(stages=tuple((n + k, vec)
                                          for n, vec in self.stages))
 
-    def __add__(self, other):
+    def _combine(self, other, op, lone):
+        """Stage by stage, ``op`` of this vector and ``other`` where both
+        have the stage, ``lone`` of other's vector where only other has
+        it; one pass over other's stages."""
         if not isinstance(other, StagedVector):
             return NotImplemented
-        acc = {n: list(vec) for n, vec in self.stages}
+        acc = dict(self.stages)
         for n, vec in other.stages:
-            if n in acc:
-                mine = acc[n]
-                if len(mine) != len(vec):
-                    raise ValueError("stage %d: mixed vector lengths" % n)
-                for i, x in enumerate(vec):
-                    mine[i] += x
+            mine = acc.get(n)
+            if mine is None:
+                acc[n] = lone(vec)
+            elif len(mine) != len(vec):
+                raise ValueError("stage %d: mixed vector lengths" % n)
             else:
-                acc[n] = list(vec)
+                acc[n] = tuple(map(op, mine, vec))
         return StagedVector.build(acc)
 
+    def __add__(self, other):
+        return self._combine(other, add, tuple)
+
     def __sub__(self, other):
-        if not isinstance(other, StagedVector):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub, _negated)
 
     def __neg__(self):
-        return StagedVector(stages=tuple((n, tuple(-x for x in vec))
+        return StagedVector(stages=tuple((n, _negated(vec))
                                          for n, vec in self.stages))
 
     def scale(self, c: int) -> "StagedVector":
@@ -115,7 +124,7 @@ class StagedVector:
             c = _require_int(c, "scalars")
         if c == 0:
             return StagedVector.zero()
-        return StagedVector(stages=tuple((n, tuple(c * x for x in vec))
+        return StagedVector(stages=tuple((n, tuple(map(mul, repeat(c), vec)))
                                          for n, vec in self.stages))
 
     def __rmul__(self, c):
@@ -219,14 +228,14 @@ def pushdown(m: GradedModule, v: StagedVector, target: int) -> StagedVector:
         work[stage] = list(vec)
     heap = [-s for s in work if s > target]
     heapq.heapify(heap)
+    regular, out = m.regular, m._out
     while heap:
         s = -heapq.heappop(heap)
         vec = work[s]
-        for i in range(n):
-            c = vec[i]
-            if c and m.regular[i]:
+        for i, c in enumerate(vec):
+            if c and regular[i]:
                 vec[i] = 0
-                for tgt, w in m._out[i]:
+                for tgt, w in out[i]:
                     t = s - w
                     row = work.get(t)
                     if row is None:
@@ -496,7 +505,8 @@ def parse_staged_expression(m: GradedModule, text: str) -> StagedVector:
     ``a(vertex,stage)`` token. Vertex names containing commas or
     parentheses cannot be written in this syntax.
     """
-    total = StagedVector.zero()
+    n = m.nvertices
+    acc: dict[int, list[int]] = {}
     for coeff, body in _split_terms(text):
         if len(body) > 1:
             raise ValueError("missing '+' or '-' before %r" % body[1])
@@ -509,5 +519,7 @@ def parse_staged_expression(m: GradedModule, text: str) -> StagedVector:
             raise ValueError("missing vertex in term %r" % tok)
         if not _looks_like_int(stage_text):
             raise ValueError("stage %r is not an integer" % stage_text)
-        total = total + m.generator(vertex, int(stage_text), coeff=coeff)
-    return total
+        stage = int(stage_text)
+        idx = m.graph.vertex_index(vertex)
+        acc.setdefault(stage, [0] * n)[idx] += coeff
+    return StagedVector.build(acc)

@@ -128,26 +128,29 @@ def h0(g: Graph) -> FpAbelianGroup:
     return _group(len(g.vertices), h0_presentation(g).smith.factors)
 
 
-def _class_coordinates(g: Graph, vec):
-    """The prologue shared by ``h0_class`` and ``h0_is_positive``.
-
-    Checks vec against the presentation and reads its coordinates from
-    u @ vec, the Smith log replayed forward once: the entries whose factor
-    is 0 (a row past the diagonal has factor 0) are free, those whose
-    factor d exceeds 1 are taken modulo d. Returns the presentation, vec as
-    a tuple and the coordinates ``h0_class`` returns.
-    """
+def _presented_vector(g: Graph, vec):
+    """The checks shared by ``h0_class`` and ``h0_is_positive``: the
+    presentation of g (its weights checked on the first call) and vec as
+    a tuple of one int per vertex."""
     pres = h0_presentation(g)
     vec = _int_vector(vec)
     if len(vec) != len(pres.vertex_order):
         raise ValueError("vector length %d does not match %d vertices"
                          % (len(vec), len(pres.vertex_order)))
+    return pres, vec
+
+
+def _class_coordinates(pres: H0Presentation, vec) -> tuple[int, ...]:
+    """The coordinates ``h0_class`` returns, read from u @ vec, the Smith
+    log replayed forward once: the entries whose factor is 0 (a row past
+    the diagonal has factor 0) are free, those whose factor d exceeds 1
+    are taken modulo d."""
     dec = pres.smith
     y = dec.u_apply(vec)
     f = dec.factors
     free = tuple(y[i] for i in range(len(y)) if i >= len(f) or f[i] == 0)
     residues = tuple(yi % d for yi, d in zip(y, f) if d > 1)
-    return pres, vec, free + residues
+    return free + residues
 
 
 def h0_class(g: Graph, vec) -> tuple[int, ...]:
@@ -157,7 +160,7 @@ def h0_class(g: Graph, vec) -> tuple[int, ...]:
     combination. Free coordinates correspond to zero invariant factors of
     the relation matrix; residues are taken modulo factors larger than 1.
     """
-    return _class_coordinates(g, vec)[-1]
+    return _class_coordinates(*_presented_vector(g, vec))
 
 
 def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
@@ -174,18 +177,19 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
     decomposition that gave the coordinates and kept on the presentation
     (``H0Presentation.separators``).
 
-    The proof is sought first when vec has a negative entry (a
-    nonnegative vec is its own representative, and no such functional is
-    negative on it). A functional takes one value on the whole class and
-    is nonnegative on every nonnegative vector, so when it exists the
-    search from vec cannot succeed and is skipped; the verdicts are those
-    of searching first.
+    A nonnegative vec is its own representative, so it is Positive as
+    soon as it is checked, before u @ vec, the dense relation columns or
+    the moves are built. For any other vec the proof is sought first. A
+    functional takes one value on the whole class and is nonnegative on
+    every nonnegative vector, so when it exists the search from vec
+    cannot succeed and is skipped; the verdicts are those of searching
+    first.
     """
     cap = _require_int(cap, "caps")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    pres, vec, coords = _class_coordinates(g, vec)
-    if not any(coords):
+    pres, vec = _presented_vector(g, vec)
+    if min(vec, default=0) >= 0 or not any(_class_coordinates(pres, vec)):
         return Verdict.POSITIVE
     # each relation column, then its negation
     moves = [m for col in pres.columns
@@ -210,8 +214,7 @@ def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
                 queue.append(nxt)
         return False
 
-    separated = min(vec) < 0 and any(sum(map(mul, cand, vec)) < 0
-                                     for cand in pres.separators)
+    separated = any(sum(map(mul, cand, vec)) < 0 for cand in pres.separators)
     if not separated and bfs(vec):
         return Verdict.POSITIVE
     if not bfs(tuple(-x for x in vec)):

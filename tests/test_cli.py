@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import pathlib
@@ -7,9 +10,12 @@ import sys
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grhom
 from grhom.cli import main
+from grhom.dynamics import search_shift_equivalence
+from grhom.graph import adjacency, load_graph
 
 SRC = pathlib.Path(grhom.__file__).resolve().parent.parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -381,3 +387,163 @@ class TestDeterminism:
             code, out = run_cli(capsys, *argv)
             fresh = run_module(*argv)
             assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+
+def run_captured(argv):
+    """``main(argv)`` with stdout captured without a pytest fixture."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+class TestNoCyclicGarbage:
+    def test_commands_and_search_leave_no_cycles(self, data_dir):
+        """One call per subcommand on the data/ graphs (the README
+        examples), error cases, and a certificate search free every object
+        they make by reference counting alone, so a collection with gc off
+        finds nothing."""
+        runs = [[str(ROOT / a) if a.startswith("data/") else a
+                 for a in shlex.split(line)[1:]]
+                for line in readme_cli_examples()]
+        runs += [["h0gr", path(data_dir, "graphF.json"), "--equals",
+                  "a(zz,0)", "a(u,0)"],
+                 ["h0", path(data_dir, "missing.json")],
+                 ["frobnicate"]]
+        a = adjacency(load_graph(path(data_dir, "full2shift.json")))
+
+        def once():
+            for argv in runs:
+                assert run_captured(argv)[0] in (0, 2)
+            assert search_shift_equivalence(a, a, 2, 2) is not None
+
+        once()  # warm-up: imports, caches and the parser
+        gc.collect()
+        gc.disable()
+        try:
+            once()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+ODD_NAMES = ("", "a b", "a(u,0)", "x,y", "\u00e9", "0", "-", "+")
+
+
+@st.composite
+def fuzz_graph_documents(draw):
+    """Small graph documents: at most 3 vertices and 4 edges of weight 1-3,
+    then, in about half of them, one fault or oddity: an odd vertex name
+    (used consistently), a non-string, duplicate or dangling id, a bad
+    weight, or a document that is not an object."""
+    vertices = ["u", "v", "w"][:draw(st.integers(0, 3))]
+    edges = []
+    for k in range(draw(st.integers(0, 4)) if vertices else 0):
+        edges.append({"id": "e%d" % k,
+                      "src": draw(st.sampled_from(vertices)),
+                      "dst": draw(st.sampled_from(vertices)),
+                      "weight": draw(st.sampled_from([1, 1, 1, 2, 3]))})
+    fault = draw(st.sampled_from(["rename", "vertex", "endpoint", "weight",
+                                  "edge id", "document"] + [None] * 6))
+    if fault == "rename" and vertices:
+        old, new = vertices[0], draw(st.sampled_from(ODD_NAMES))
+        vertices[0] = new
+        for e in edges:
+            for end in ("src", "dst"):
+                if e[end] == old:
+                    e[end] = new
+    elif fault == "vertex":
+        vertices.append(draw(st.sampled_from(["u", 7, None])))
+    elif fault == "endpoint" and edges:
+        edges[-1][draw(st.sampled_from(["src", "dst"]))] = draw(
+            st.sampled_from(["zz", 1, None]))
+    elif fault == "weight" and edges:
+        edges[-1]["weight"] = draw(st.sampled_from([0, -1, True, 1.5, "2",
+                                                    None]))
+    elif fault == "edge id" and edges:
+        edges[-1]["id"] = draw(st.sampled_from(["e0", "", "a(u,0)", "1", 5]))
+    doc = {"vertices": vertices, "edges": edges}
+    return [doc] if fault == "document" else doc
+
+
+def fuzz_expression(draw, atoms):
+    """Up to three signed terms, each an optional coefficient and mostly
+    one atom; now and then a stray sign or coefficient."""
+    tokens = []
+    for k in range(draw(st.integers(1, 3))):
+        if k or draw(st.booleans()):
+            tokens.append(draw(st.sampled_from(["+", "-"] * 4 + ["2"])))
+        if draw(st.booleans()):
+            tokens.append(draw(st.sampled_from(["0", "2", "-3"])))
+        tokens.append(draw(st.sampled_from(atoms)))
+        if draw(st.integers(0, 9)) == 0:
+            tokens.append(draw(st.sampled_from(atoms)))
+    return " ".join(tokens)
+
+
+@st.composite
+def fuzz_argv(draw, left, right, doc):
+    """argv for one of the nine subcommands on the files ``left`` and
+    ``right``, with expressions over the names in ``doc`` and small
+    budgets: path lengths and caps up to 3, a cover window of at most 5
+    stages, lag up to 2 and entry bound up to 2."""
+    doc = doc if isinstance(doc, dict) else {}
+    names = [v for v in doc.get("vertices", []) if isinstance(v, str)]
+    names += ["zz"]
+    eids = [e["id"] for e in doc.get("edges", []) if isinstance(e["id"], str)]
+    generators = ["a(%s,%d)" % (v, n) for v in names for n in range(-2, 3)]
+    generators += ["a(u,x)", "a(u)", "b(u,0)"]
+    cmd = draw(st.sampled_from(["h0", "h0gr", "h0gr", "cover", "paths", "nf",
+                                "nf", "oracle", "exactness", "compare",
+                                "triple"]))
+    if cmd == "h0gr":
+        if draw(st.booleans()):
+            argv = [cmd, left, "--equals", fuzz_expression(draw, generators),
+                    fuzz_expression(draw, generators)]
+        else:
+            argv = [cmd, left, "--positive",
+                    fuzz_expression(draw, generators)]
+        if draw(st.integers(0, 9)) < (3 if "--equals" in argv else 7):
+            argv += ["--cap", str(draw(st.integers(-1, 3)))]
+        return argv
+    if cmd == "cover":
+        lo = draw(st.integers(-2, 2))
+        return [cmd, left, "--min", str(lo),
+                "--max", str(lo + draw(st.integers(-1, 4)))]
+    if cmd in ("paths", "oracle"):
+        return [cmd, left, "--max-len", str(draw(st.integers(-1, 3)))]
+    if cmd == "nf":
+        atoms = names + eids + ["e9"]
+        argv = [cmd, left, "--expr", fuzz_expression(draw, atoms)]
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            argv += ["--special", "%s=%s" % (draw(st.sampled_from(names)),
+                                              draw(st.sampled_from(atoms)))]
+        return argv
+    if cmd == "compare":
+        return [cmd, left, right,
+                "--max-lag", str(draw(st.integers(0, 2))),
+                "--entry-bound", str(draw(st.integers(-1, 2)))]
+    return [cmd, left]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(fuzz_graph_documents(), fuzz_graph_documents(), st.data())
+    def test_every_run_exits_0_or_2_with_json(self, fuzz_dir, left, right,
+                                              data):
+        """Any small graph document and argv get a report (exit 0) or a
+        JSON error (exit 2), never a traceback."""
+        files = []
+        for name, doc in (("left.json", left), ("right.json", right)):
+            (fuzz_dir / name).write_text(json.dumps(doc), encoding="utf-8")
+            files.append(str(fuzz_dir / name))
+        argv = data.draw(fuzz_argv(*files, left))
+        code, out = run_captured(argv)
+        doc = json.loads(out)
+        assert code in (0, 2), argv
+        assert ("error" in doc) == (code == 2), argv

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 from itertools import product
 from random import Random
@@ -45,6 +46,43 @@ class TestStagedVector:
         assert (-a).to_mapping() == {0: (-1, -2)}
         assert (3 * a).to_mapping() == {0: (3, 6)}
         assert a.scale(0).is_zero()
+
+    @given(st.lists(st.tuples(st.integers(-2, 2),
+                              st.lists(st.integers(-3, 3), min_size=1,
+                                       max_size=3)), max_size=4),
+           st.lists(st.tuples(st.integers(-2, 2),
+                              st.lists(st.integers(-3, 3), min_size=1,
+                                       max_size=3)), max_size=4),
+           st.integers(-3, 3))
+    def test_arithmetic_matches_entrywise_reference(self, left, right, c):
+        """Sum, difference, negation and scaling agree with an entry by
+        entry reference, and mixed vector lengths fail at the same stage
+        with the same message."""
+        a, b = sv(dict(left)), sv(dict(right))
+
+        def reference(sign):
+            acc = {n: list(vec) for n, vec in a.stages}
+            for n, vec in b.stages:
+                mine = acc.setdefault(n, [0] * len(vec))
+                if len(mine) != len(vec):
+                    raise ValueError("stage %d: mixed vector lengths" % n)
+                for i, x in enumerate(vec):
+                    mine[i] += sign * x
+            return sv(acc)
+
+        for sign, op in ((1, a.__add__), (-1, a.__sub__)):
+            try:
+                expected = reference(sign)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    op(b)
+                assert str(got.value) == str(exc)
+            else:
+                assert op(b) == expected
+        assert (-a).to_mapping() == {n: tuple(-x for x in vec)
+                                     for n, vec in a.stages}
+        assert a.scale(c) == sv({n: [c * x for x in vec]
+                                 for n, vec in a.stages})
 
     def test_shift(self):
         assert sv({0: (1,)}).shift(2).to_mapping() == {2: (1,)}
@@ -1005,6 +1043,19 @@ class TestExpressionParsing:
                     "a(w,0)", "a(u)", "b(u,0)", "a(u,x)", "2 3 a(u,0)"):
             with pytest.raises(ValueError):
                 parse_staged_expression(m, bad)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a(zz,x)", "stage 'x' is not an integer"),
+        ("a(zz,0) + a(u,x)", "unknown vertex 'zz'"),
+        ("a(u,x) + a(zz,0)", "stage 'x' is not an integer"),
+        ("a(u,0) + a(zz,0) + a(u,1) a(v,0)", "unknown vertex 'zz'"),
+        ("a(u,0) + b(u,0) + a(zz,0)", "cannot read term 'b(u,0)'"),
+    ])
+    def test_first_bad_term_is_reported(self, graph_e, text, message):
+        """Terms are read left to right, and within a term the stage is
+        read before the vertex is looked up."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_staged_expression(graded_module(graph_e), text)
 
     def test_matches_reference_on_short_token_sequences(self, graph_e):
         """Every sequence of up to four tokens gets the old parser's result,

@@ -9,7 +9,7 @@ from grhom.graph import (Edge, Graph, GraphFormatError, StagedGraph,
                          VertexClass, adjacency, classify_vertices,
                          covering_graph, enumerate_paths, graph_from_dict,
                          graph_to_dict, make_path, parse_graph, path_range,
-                         path_weight, serialize_graph, _require)
+                         path_weight, serialize_graph, _json_text, _require)
 from grhom.intlinalg import mat_pow
 from random import Random
 
@@ -210,6 +210,68 @@ class TestParsing:
         assert d["vertices"] == ["u"]
         assert all(e["weight"] == 1 for e in d["edges"])
         assert json.dumps(d)
+
+
+class ReprInt(int):
+    """json writes an int subclass with ``int.__repr__``, never its own."""
+
+    def __repr__(self):
+        return "ReprInt()"
+
+
+class ReprStr(str):
+    def __repr__(self):
+        return "ReprStr()"
+
+    def __str__(self):
+        return "ReprStr()"
+
+
+TRICKY_STRINGS = ("", "a b", '"\\/', "\x00\x1f\x7f\n\t", "\u00e9\u2028",
+                  "\U0001f600", "\ud800")
+json_keys = st.one_of(st.text(max_size=6), st.sampled_from(TRICKY_STRINGS),
+                      st.text(max_size=3).map(ReprStr))
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10),
+    st.integers(-10 ** 40, 10 ** 40), st.integers().map(ReprInt),
+    st.integers().map(IntSub), st.text(max_size=6),
+    st.sampled_from(TRICKY_STRINGS), st.text(max_size=3).map(ReprStr))
+json_values = st.recursive(json_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(json_keys, inner, max_size=4)), max_leaves=30)
+
+
+class TestJsonText:
+    @settings(max_examples=300)
+    @given(json_values)
+    @example({"a": [], "b": {}, "c": [[], {}, ()], "d": [{"e": [1, None]}]})
+    @example([-10 ** 30, ReprInt(-7), IntSub(3), True, False, None])
+    def test_matches_json_dumps(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [1.5, {1: 2}, {"a": {3}}, [b"x"]])
+    def test_other_types_rejected(self, obj):
+        with pytest.raises(TypeError):
+            _json_text(obj)
+
+    @settings(max_examples=100)
+    @given(graph_documents())
+    @example({"vertices": ["a"], "edges": [
+        {"id": "e0", "src": "a", "dst": "a", "weight": IntSub(4)}]})
+    def test_serialize_graph_matches_json_dumps(self, doc):
+        try:
+            g = graph_from_dict(doc)
+        except GraphFormatError:
+            return
+        assert serialize_graph(g) == \
+            json.dumps(graph_to_dict(g), indent=2) + "\n"
+
+    def test_serialize_graph_int_subclass_weight(self):
+        g = Graph(vertices=("u",),
+                  edges=(Edge(eid="e", src="u", dst="u", weight=ReprInt(3)),))
+        assert serialize_graph(g) == \
+            json.dumps(graph_to_dict(g), indent=2) + "\n"
+        assert '"weight": 3' in serialize_graph(g)
 
 
 class TestClassification:

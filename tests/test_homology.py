@@ -190,6 +190,23 @@ class TestPositivity:
     def test_nonneg_is_positive_at_cap_zero(self, graph_e):
         assert h0_is_positive(graph_e, (1, 2), 0) is Verdict.POSITIVE
 
+    def test_nonneg_builds_no_coordinates(self, seeded_graph):
+        """A nonnegative vector is its own representative: neither the
+        Smith decomposition nor the dense relation columns are built."""
+        g = seeded_graph(7, 12, sinks=False)
+        assert h0_is_positive(g, (0, 3) + (1,) * 10, 0) is Verdict.POSITIVE
+        assert h0_is_positive(g, (0,) * 12, 0) is Verdict.POSITIVE
+        assert not {"smith", "relations", "columns"} & set(
+            vars(h0_presentation(g)))
+
+    def test_nonneg_errors_in_order(self, graph_e):
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            h0_is_positive(graph_e, (1,), -1)
+        with pytest.raises(ValueError, match="vector entries must be ints"):
+            h0_is_positive(graph_e, (1, 2.0, 3), 0)
+        with pytest.raises(ValueError, match="vector length 3"):
+            h0_is_positive(graph_e, (1, 2, 3), 0)
+
     def test_zero_class_positive(self, graph_f):
         assert h0_is_positive(graph_f, (-1,), 0) is Verdict.POSITIVE
 

@@ -818,14 +818,72 @@ def _conjugated_nilpotent(rows, i, j, q):
     return (IntMatrix.from_rows(e, n) @ strict) @ IntMatrix.from_rows(e_inv, n)
 
 
+def _elementary(n, i, j, q):
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    rows[i][j] = q
+    return IntMatrix.from_rows(rows, n)
+
+
+@st.composite
+def jordan_conjugates(draw):
+    """(a, chains): a unimodular conjugate of the direct sum of nilpotent
+    Jordan chains (sizes ``chains``) and an invertible upper triangular
+    block. In about half of them the chains are one long chain and chains
+    of size 1, where the bound m = z - d + 1 of ``eventual_kernel`` is the
+    stabilization index itself."""
+    if draw(st.booleans()):
+        chains = [draw(st.integers(1, 4))] + [1] * draw(st.integers(0, 2))
+    else:
+        chains = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    r = draw(st.integers(0, 3))
+    n = sum(chains) + r
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for size in chains:
+        for k in range(start, start + size - 1):
+            rows[k][k + 1] = 1
+        start += size
+    for k in range(start, n):
+        rows[k][k] = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+        for c in range(k + 1, n):
+            rows[k][c] = draw(st.integers(-2, 2))
+    a = IntMatrix.from_rows(rows, n)
+    moves = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1),
+                                    st.integers(-2, 2)), max_size=6))
+    for i, j, q in moves:
+        if i != j:
+            a = (_elementary(n, i, j, q) @ a) @ _elementary(n, i, j, -q)
+    return a, chains
+
+
 class TestEventualKernelStopsEarly:
-    """eventual_kernel stops at the first k with rank(a^k) ==
-    rank(a^(k+1)); the basis must equal the kernel basis of a^n."""
+    """eventual_kernel stops at ker(a^m), m = z - d + 1 <= n, with z the
+    multiplicity of the root 0 of the characteristic polynomial and
+    d = n - rank(a); the basis must equal the kernel basis of a^n."""
 
     @given(st.one_of(square_matrix(max_dim=5, max_entry=3),
                      nilpotent_matrix()))
     def test_matches_full_power(self, a):
         assert eventual_kernel(a) == full_power_eventual_kernel(a)
+
+    @given(jordan_conjugates())
+    def test_jordan_chains_with_invertible_block(self, case):
+        a, chains = case
+        basis = eventual_kernel(a)
+        assert basis == reference_eventual_kernel(a)
+        assert basis == full_power_eventual_kernel(a)
+        assert basis.nrows == sum(chains)
+        # one chain and chains of size 1: m is the stabilization index,
+        # so no lower power has the whole eventual kernel
+        if chains[0] > 1 and chains[1:] == [1] * (len(chains) - 1):
+            assert kernel_basis(mat_pow(a, chains[0] - 1)) != basis
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_zero_matrix_kernel_is_everything(self, n):
+        zero = IntMatrix.zeros(n, n)
+        assert eventual_kernel(zero) == IntMatrix.identity(n)
+        assert eventual_kernel(zero) == reference_eventual_kernel(zero)
 
     @pytest.mark.parametrize("n", [20, 40, 60])
     def test_row_sum_two(self, n):
