@@ -804,6 +804,13 @@ def nilpotent_matrix(max_dim=5, max_entry=3):
         st.integers(-2, 2)).map(lambda t: _conjugated_nilpotent(*t)))
 
 
+def _elementary(n, i, j, q):
+    """I + q e_i e_j^T, unimodular for i != j, with inverse q -> -q."""
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    rows[i][j] = q
+    return IntMatrix.from_rows(rows, n)
+
+
 def _conjugated_nilpotent(rows, i, j, q):
     n = len(rows)
     strict = IntMatrix(tuple(tuple(x if c > r else 0 for c, x in
@@ -811,17 +818,7 @@ def _conjugated_nilpotent(rows, i, j, q):
                              for r, row in enumerate(rows)), n)
     if i == j:
         return strict
-    e = [[int(r == c) for c in range(n)] for r in range(n)]
-    e[i][j] = q
-    e_inv = [[int(r == c) for c in range(n)] for r in range(n)]
-    e_inv[i][j] = -q
-    return (IntMatrix.from_rows(e, n) @ strict) @ IntMatrix.from_rows(e_inv, n)
-
-
-def _elementary(n, i, j, q):
-    rows = [[int(r == c) for c in range(n)] for r in range(n)]
-    rows[i][j] = q
-    return IntMatrix.from_rows(rows, n)
+    return (_elementary(n, i, j, q) @ strict) @ _elementary(n, i, j, -q)
 
 
 @st.composite
