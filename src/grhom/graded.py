@@ -9,10 +9,8 @@ The Laurent variable x shifts stages up by one, so the module is a
 Z[x, x^-1]-module; the connecting endomorphism is multiplication by (x - 1)
 and the stage-collapsing map sums each generator's coefficients into the
 ambient vertex vector. Equality of elements is decidable: push the
-difference down far enough and test for the zero vector. How far is the
-decision depth of ``_decision_depth``, R + sum over vertices u of
-(w_in(u) - 1), with R the number of regular vertices and w_in(u) the
-largest weight of an edge into u; its docstring proves the bound. For
+difference down far enough and test for the zero vector; how far is the
+decision depth of ``_decision_depth``, whose docstring proves it. For
 sink-free weight-1 graphs the same module is presented as the stationary
 inductive limit of Z^vertices along the transposed adjacency matrix (the
 Krieger dimension triple, with its canonical automorphism and positivity).
@@ -28,10 +26,9 @@ from operator import add, mul, neg, sub
 
 from .graph import (Graph, _looks_like_int, _split_terms, adjacency,
                     check_positive_weights, check_unit_sink_free)
-from .homology import Verdict, h0
+from .homology import Verdict, _require_cap, h0
 from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, _require_int,
-                        cokernel, eventual_kernel, mat_pow_apply,
-                        sparse_cokernel)
+                        eventual_kernel, mat_pow_apply, sparse_cokernel)
 
 
 def _negated(vec) -> tuple[int, ...]:
@@ -249,7 +246,7 @@ def pushdown(m: GradedModule, v: StagedVector, target: int) -> StagedVector:
 
 
 def _decision_depth(m: GradedModule) -> int:
-    """How far below its support ``equals`` pushes a difference:
+    """How far below the support ``equals`` and ``is_positive`` push:
     R + sum over vertices u of (w_in(u) - 1), where R counts the regular
     vertices and w_in(u) is the largest weight of an edge into u (1 when u
     has none). It never exceeds n * max_weight.
@@ -308,27 +305,28 @@ def equals(m: GradedModule, u: StagedVector, v: StagedVector) -> bool:
 def is_positive(m: GradedModule, v: StagedVector, cap: int) -> Verdict:
     """Four-valued order test against the cone of nonnegative elements.
 
-    Zero is exact. Positive/Negative verdicts come from the sign of some
-    pushdown within cap extra stages below the support minimum; they are
-    sound, and once sign-definite a deeper pushdown stays sign-definite, so
-    verdicts never flip as cap grows.
+    One walk: for k = 0..cap push v to base - k, base its support minimum,
+    or to the support minimum where heavy edges went lower; zero is Zero,
+    nonnegative Positive, nonpositive Negative. Then push on likewise to
+    base - ``_decision_depth``: Zero if that vanishes, else Unknown, as in
+    ``equals``, since pushing to T after S >= T is pushing to T. A nonzero
+    sign-definite pushdown stays so deeper (one sign never cancels, sinks
+    freeze), so it is never zero and verdicts never flip as cap grows.
     """
-    cap = _require_int(cap, "caps")
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    if v.is_zero() or equals(m, v, StagedVector.zero()):
+    cap = _require_cap(cap)
+    if v.is_zero():
         return Verdict.ZERO
-    base = v.min_stage()
-    w = pushdown(m, v, base)
+    base, w = v.min_stage(), v
     for k in range(cap + 1):
-        if k:
-            # heavy edges may already have pushed support below base - k
-            w = pushdown(m, w, min(base - k, w.min_stage()))
+        w = pushdown(m, w, min(base - k, w.min_stage()))
+        if w.is_zero():
+            return Verdict.ZERO
         if w.is_nonneg():
             return Verdict.POSITIVE
         if w.is_nonpos():
             return Verdict.NEGATIVE
-    return Verdict.UNKNOWN
+    w = pushdown(m, w, min(base - _decision_depth(m), w.min_stage()))
+    return Verdict.ZERO if w.is_zero() else Verdict.UNKNOWN
 
 
 def lambda_map(v: StagedVector) -> StagedVector:
@@ -340,8 +338,7 @@ def sigma_map(v: StagedVector) -> tuple[int, ...]:
     """Collapse stages: sum the coefficient vectors over all stages."""
     if not v.stages:
         return ()
-    n = len(v.stages[0][1])
-    acc = [0] * n
+    acc = [0] * len(v.stages[0][1])
     for _, vec in v.stages:
         for i, x in enumerate(vec):
             acc[i] += x
@@ -400,8 +397,8 @@ def verify_exact_sequence(g: Graph) -> dict:
                 r = pos[1 - w] * n + tgt
                 col[r] = col.get(r, 0) - 1
             columns.append(tuple(col.items()))
-    for base in range(0, nrows - n, n):
-        columns.extend(((base + n + j, 1), (base + j, -1)) for j in range(n))
+    for i in range(1, len(stages)):
+        columns.extend(((i * n + j, 1), (i * n - n + j, -1)) for j in range(n))
     coker_lambda = sparse_cokernel(columns, nrows)
     plain = h0(g)
     return {
@@ -449,13 +446,8 @@ class DimensionTriple:
                 raise ValueError("vector length %d does not match rank %d"
                                  % (len(vec), self.rank))
             part = mat_pow_apply(self.at, vec, stage - sv.min_stage())
-            for i, x in enumerate(part):
-                acc[i] += x
+            acc = list(map(add, acc, part))
         return (tuple(acc), level)
-
-    def _vanishes(self, vec) -> bool:
-        return all(x == 0
-                   for x in mat_pow_apply(self.at, vec, self.rank))
 
     def equal(self, a, b) -> bool:
         """Whether two (vector, level) pairs name the same limit element."""
@@ -463,20 +455,26 @@ class DimensionTriple:
         level = max(na, nb)
         wa = mat_pow_apply(self.at, va, level - na)
         wb = mat_pow_apply(self.at, vb, level - nb)
-        return self._vanishes(tuple(x - y for x, y in zip(wa, wb)))
+        diff = tuple(x - y for x, y in zip(wa, wb))
+        return not any(mat_pow_apply(self.at, diff, self.rank))
 
     def is_positive(self, a, cap: int) -> Verdict:
-        cap = _require_int(cap, "caps")
-        if cap < 0:
-            raise ValueError("cap must be nonnegative")
+        """Order test in one walk over (A^T)^k vec for k <= max(cap, rank).
+        A zero vector is Zero, exactly: k = rank reaches the eventual kernel.
+        For k <= cap a nonnegative vector is Positive and a nonpositive one
+        Negative: with no sinks, A^T sends neither to 0. Else Unknown."""
+        cap = _require_cap(cap)
         vec, _ = a
-        if self._vanishes(vec):
-            return Verdict.ZERO
-        cur = tuple(vec)
-        for _ in range(cap + 1):
-            if all(x >= 0 for x in cur):
+        cur = _int_vector(vec)
+        if self.rank and len(cur) != self.rank:  # mat_pow_apply's check
+            raise ValueError("dimension mismatch: %s applied to length %d"
+                             % (self.at.shape, len(cur)))
+        for k in range(max(cap, self.rank) + 1):
+            if not any(cur):
+                return Verdict.ZERO
+            if k <= cap and min(cur) >= 0:
                 return Verdict.POSITIVE
-            if all(x <= 0 for x in cur):
+            if k <= cap and max(cur) <= 0:
                 return Verdict.NEGATIVE
             cur = self.at.apply(cur)
         return Verdict.UNKNOWN
@@ -487,8 +485,11 @@ class DimensionTriple:
         return (self.at.apply(vec), level)
 
     def group(self) -> FpAbelianGroup:
-        """Underlying abelian group: Z^rank modulo the eventual kernel."""
-        return cokernel(self.eventual_kernel_basis.transpose())
+        """Z^rank modulo the eventual kernel K = ker(A^m): free, since K is
+        saturated (kx in K with k != 0 puts x in K), of rank ``rank`` minus
+        the number of K's Hermite basis rows, which are independent."""
+        return FpAbelianGroup(self.rank - self.eventual_kernel_basis.nrows,
+                              ())
 
 
 def dimension_triple(g: Graph) -> DimensionTriple:

@@ -49,6 +49,14 @@ class Verdict(Enum):
     UNKNOWN = "Unknown"
 
 
+def _require_cap(cap) -> int:
+    """The cap of an order test as a plain int, else ValueError."""
+    cap = _require_int(cap, "caps")
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    return cap
+
+
 @dataclass(frozen=True)
 class H0Presentation:
     """Vertex-indexed presentation: ambient Z^vertices modulo the columns.
@@ -166,60 +174,51 @@ def h0_class(g: Graph, vec) -> tuple[int, ...]:
 def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
     """Bounded three-valued test for membership of [vec] in the cone.
 
-    Positive verdicts always exhibit a nonnegative representative (the zero
-    vector when the class is zero, otherwise one reached by breadth-first
-    relation moves within cap dequeues). Negative requires both a Positive
-    certificate for -vec and a cap-independent proof that [vec] itself is
-    not in the cone, so verdicts never flip as cap grows. That proof is an
+    Positive exhibits a nonnegative representative: vec itself, the zero
+    vector when the class is zero, or one reached by breadth-first
+    relation moves within cap dequeues. Negative needs a Positive
+    certificate for -vec and a cap-independent proof that [vec] is not in
+    the cone, so verdicts never flip as cap grows. The proof is an
     entrywise-nonnegative integer functional that kills every relation
     column and is negative on vec; the candidates are the Hermite basis
-    vectors of the left kernel and their negations, taken from the Smith
-    decomposition that gave the coordinates and kept on the presentation
-    (``H0Presentation.separators``).
+    vectors of the left kernel and their negations, from the Smith
+    decomposition that gives the coordinates (``H0Presentation.separators``).
 
-    A nonnegative vec is its own representative, so it is Positive as
-    soon as it is checked, before u @ vec, the dense relation columns or
-    the moves are built. For any other vec the proof is sought first. A
-    functional takes one value on the whole class and is nonnegative on
-    every nonnegative vector, so when it exists the search from vec
-    cannot succeed and is skipped; the verdicts are those of searching
-    first.
+    A nonnegative vec is Positive before u @ vec, the dense relation
+    columns or the moves are built. Otherwise the proof picks the one
+    search to run: a functional takes one value on the class and is
+    nonnegative on the cone, so with one the search from vec cannot
+    succeed and only that from -vec runs; without one Negative is out of
+    reach and only the search from vec runs.
     """
-    cap = _require_int(cap, "caps")
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
+    cap = _require_cap(cap)
     pres, vec = _presented_vector(g, vec)
     if min(vec, default=0) >= 0 or not any(_class_coordinates(pres, vec)):
         return Verdict.POSITIVE
-    # each relation column, then its negation
+    if any(sum(map(mul, cand, vec)) < 0 for cand in pres.separators):
+        start, found = tuple(-x for x in vec), Verdict.NEGATIVE
+    else:
+        start, found = vec, Verdict.POSITIVE
+    if min(start) >= 0:
+        return found
+    # breadth-first over each relation column, then its negation
     moves = [m for col in pres.columns
              for m in (col, tuple(-x for x in col))]
-
-    def bfs(start) -> bool:
-        if min(start) >= 0:
-            return True
-        seen = {start}
-        queue = deque([start])
-        dequeued = 0
-        while queue and dequeued < cap:
-            cur = queue.popleft()
-            dequeued += 1
-            for move in moves:
-                nxt = tuple(map(add, cur, move))
-                if nxt in seen:
-                    continue
-                if min(nxt) >= 0:
-                    return True
-                seen.add(nxt)
-                queue.append(nxt)
-        return False
-
-    separated = any(sum(map(mul, cand, vec)) < 0 for cand in pres.separators)
-    if not separated and bfs(vec):
-        return Verdict.POSITIVE
-    if not bfs(tuple(-x for x in vec)):
-        return Verdict.UNKNOWN
-    return Verdict.NEGATIVE if separated else Verdict.UNKNOWN
+    seen = {start}
+    queue = deque([start])
+    dequeued = 0
+    while queue and dequeued < cap:
+        cur = queue.popleft()
+        dequeued += 1
+        for move in moves:
+            nxt = tuple(map(add, cur, move))
+            if nxt in seen:
+                continue
+            if min(nxt) >= 0:
+                return found
+            seen.add(nxt)
+            queue.append(nxt)
+    return Verdict.UNKNOWN
 
 
 def h0_bruteforce_oracle(g: Graph, max_len: int) -> FpAbelianGroup:

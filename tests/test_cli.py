@@ -343,6 +343,54 @@ class TestErrors:
                           "--expr", "u", "--special", "w=e")
 
 
+class TestVertexLessGraph:
+    """Every subcommand on the graph with no vertices: a report, or for
+    the two that read an expression, the value error that every term of
+    the expression names an unknown vertex or edge."""
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        f = tmp_path / "empty.json"
+        f.write_text(json.dumps({"vertices": [], "edges": []}))
+        return str(f)
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["h0"], "group", {"rank": 0, "torsion": []}),
+        (["cover", "--min", "0", "--max", "1"], "vertices", []),
+        (["paths", "--max-len", "2"], "counts_by_length", [0, 0, 0]),
+        (["oracle", "--max-len", "2"], "matches_h0", True),
+        (["exactness"], "h0_group", {"rank": 0, "torsion": []}),
+        (["triple"], "group", {"rank": 0, "torsion": []}),
+    ], ids=["h0", "cover", "paths", "oracle", "exactness", "triple"])
+    def test_reports(self, capsys, empty, argv, key, value):
+        doc = run_json(capsys, argv[0], empty, *argv[1:])
+        assert doc["vertex_order"] == []
+        assert doc[key] == value
+
+    def test_exactness_checks_hold(self, capsys, empty):
+        doc = run_json(capsys, "exactness", empty)
+        assert doc["sigma_lambda_zero"] is True
+        assert doc["coker_lambda_equals_h0"] is True
+        assert doc["coker_lambda_group"] == {"rank": 0, "torsion": []}
+
+    def test_compare(self, capsys, empty):
+        doc = run_json(capsys, "compare", empty, empty, "--max-lag", "2",
+                       "--entry-bound", "2")
+        assert doc["left"]["h0_group"] == {"rank": 0, "torsion": []}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["h0gr", "--equals", "a(u,0)", "a(u,1)"], "unknown vertex 'u'"),
+        (["h0gr", "--positive", "a(u,0)"], "unknown vertex 'u'"),
+        (["nf", "--expr", "e"], "unknown edge id 'e' in expression"),
+    ], ids=["h0gr-equals", "h0gr-positive", "nf"])
+    def test_expressions_name_unknown_vertices(self, capsys, empty, argv,
+                                               message):
+        code, out = run_cli(capsys, argv[0], empty, *argv[1:])
+        assert code == 2
+        assert json.loads(out) == {"error": {"kind": "value",
+                                             "message": message}}
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, capsys, data_dir):
         f = path(data_dir, "graphE.json")

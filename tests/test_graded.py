@@ -1,4 +1,5 @@
 import re
+from collections import deque
 from dataclasses import fields, replace
 from itertools import product
 from random import Random
@@ -6,6 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grhom import graded, homology
 from grhom.corpus import enumerate_multigraphs, random_graph
 from grhom.graded import (GradedModule, StagedVector, _decision_depth,
                           _sample_elements, dimension_triple,
@@ -13,8 +15,8 @@ from grhom.graded import (GradedModule, StagedVector, _decision_depth,
                           parse_staged_expression, pushdown, sigma_map,
                           verify_exact_sequence, x_action)
 from grhom.graph import _looks_like_int, graph_from_dict, graph_to_dict
-from grhom.homology import Verdict, h0, h0_class
-from grhom.intlinalg import IntMatrix, cokernel
+from grhom.homology import Verdict, h0, h0_class, h0_is_positive
+from grhom.intlinalg import IntMatrix, _require_int, cokernel, mat_pow_apply
 from linalg_helpers import in_column_span
 
 
@@ -779,6 +781,331 @@ class TestPositivity:
                     assert verdict is settled
 
 
+def reference_is_positive(m, v, cap):
+    """``graded.is_positive`` as it was with an equality pre-pass before
+    its walk: the body is kept verbatim."""
+    cap = _require_int(cap, "caps")
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    if v.is_zero() or equals(m, v, StagedVector.zero()):
+        return Verdict.ZERO
+    base = v.min_stage()
+    w = pushdown(m, v, base)
+    for k in range(cap + 1):
+        if k:
+            # heavy edges may already have pushed support below base - k
+            w = pushdown(m, w, min(base - k, w.min_stage()))
+        if w.is_nonneg():
+            return Verdict.POSITIVE
+        if w.is_nonpos():
+            return Verdict.NEGATIVE
+    return Verdict.UNKNOWN
+
+
+def reference_triple_is_positive(t, a, cap):
+    """``DimensionTriple.is_positive`` as it was with a vanishing walk
+    before its sign walk: the body is kept verbatim, with ``self`` read
+    as t and its ``_vanishes`` helper written in."""
+    cap = _require_int(cap, "caps")
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    vec, _ = a
+    if all(x == 0 for x in mat_pow_apply(t.at, vec, t.rank)):
+        return Verdict.ZERO
+    cur = tuple(vec)
+    for _ in range(cap + 1):
+        if all(x >= 0 for x in cur):
+            return Verdict.POSITIVE
+        if all(x <= 0 for x in cur):
+            return Verdict.NEGATIVE
+        cur = t.at.apply(cur)
+    return Verdict.UNKNOWN
+
+
+def verdict_or_error(test, *args):
+    """The verdict, or the type and message of the error raised."""
+    try:
+        return test(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def relation_combinations(draw, m, stage_range=6):
+    """A zero element: up to four integer multiples of relations."""
+    regular = [v for v, r in zip(m.graph.vertices, m.regular) if r]
+    out = StagedVector.zero()
+    for _ in range(draw(st.integers(0, 4)) if regular else 0):
+        rel = m.relation(draw(st.sampled_from(regular)),
+                         draw(st.integers(-stage_range, stage_range)))
+        out = out + rel.scale(draw(st.integers(-3, 3)))
+    return out
+
+
+@st.composite
+def unit_sink_free_graphs(draw, max_vertices=5):
+    """1 to max_vertices vertices, each the source of 1-3 unit edges."""
+    n = draw(st.integers(1, max_vertices))
+    names = ["v%d" % i for i in range(n)]
+    edges = []
+    for i in range(n):
+        for _ in range(draw(st.integers(1, 3))):
+            edges.append({"id": "e%d" % len(edges), "src": names[i],
+                          "dst": names[draw(st.integers(0, n - 1))]})
+    return graph_from_dict({"vertices": names, "edges": edges})
+
+
+CAPS = range(13)
+
+
+class TestOneWalkMatchesReference:
+    """The one-walk order tests give the verdicts of the two-walk ones
+    they replaced, kept above as references, for every cap 0-12."""
+
+    @settings(max_examples=150)
+    @given(weighted_graphs(max_vertices=5), st.data())
+    def test_graded_elements(self, g, data):
+        m = graded_module(g)
+        v = data.draw(staged_elements(m, max_stages=4, stage_range=4))
+        v = v + data.draw(relation_combinations(m))
+        for cap in CAPS:
+            assert is_positive(m, v, cap) is reference_is_positive(m, v, cap)
+
+    @settings(max_examples=150)
+    @given(weighted_graphs(max_vertices=5), st.data())
+    def test_graded_zero_elements(self, g, data):
+        m = graded_module(g)
+        v = data.draw(relation_combinations(m))
+        for cap in CAPS:
+            assert is_positive(m, v, cap) is Verdict.ZERO
+            assert reference_is_positive(m, v, cap) is Verdict.ZERO
+
+    @settings(max_examples=150)
+    @given(weighted_graphs(max_vertices=5), st.data())
+    def test_graded_sign_definite_plus_zero(self, g, data):
+        """A relation combination plus a few generators of one sign:
+        Positive or Negative once the walk has undone the combination."""
+        m = graded_module(g)
+        sign = data.draw(st.sampled_from((1, -1)))
+        v = data.draw(relation_combinations(m))
+        for _ in range(data.draw(st.integers(1, 3))):
+            v = v + m.generator(data.draw(st.sampled_from(g.vertices)),
+                                data.draw(st.integers(-4, 4)), coeff=sign)
+        for cap in CAPS:
+            assert is_positive(m, v, cap) is reference_is_positive(m, v, cap)
+
+    @settings(max_examples=150)
+    @given(unit_sink_free_graphs(), st.data())
+    def test_triple_vectors(self, g, data):
+        t = dimension_triple(g)
+        vec = data.draw(st.lists(st.integers(-3, 3), min_size=t.rank,
+                                 max_size=t.rank))
+        for row in t.eventual_kernel_basis.rows:
+            c = data.draw(st.integers(-2, 2))
+            vec = [x + c * y for x, y in zip(vec, row)]
+        a = t.element(vec, data.draw(st.integers(-2, 2)))
+        for cap in CAPS:
+            assert t.is_positive(a, cap) is \
+                reference_triple_is_positive(t, a, cap)
+
+    @settings(max_examples=100)
+    @given(unit_sink_free_graphs(), st.data())
+    def test_triple_eventual_kernel_is_zero(self, g, data):
+        t = dimension_triple(g)
+        vec = [0] * t.rank
+        for row in t.eventual_kernel_basis.rows:
+            c = data.draw(st.integers(-2, 2))
+            vec = [x + c * y for x, y in zip(vec, row)]
+        for cap in CAPS:
+            assert t.is_positive((vec, 0), cap) is Verdict.ZERO
+            assert reference_triple_is_positive(t, (vec, 0), cap) \
+                is Verdict.ZERO
+
+
+class TestOneWalkStructure:
+    @settings(max_examples=150)
+    @given(weighted_graphs(max_vertices=5), st.data())
+    def test_pushdown_chain_ends_at_the_decision(self, g, data):
+        """The targets are base, then min(base - k, support minimum) for
+        k = 1, 2, ...; a walk that decides at step k makes no pushdown
+        after it, and only Unknown or a late Zero pushes on to the
+        decision depth. ``equals`` is never called."""
+        m = graded_module(g)
+        v = data.draw(staged_elements(m, max_stages=4, stage_range=4))
+        v = v + data.draw(relation_combinations(m))
+        cap = data.draw(st.integers(0, 12))
+        calls = []
+
+        def spy(m_, w, target):
+            out = pushdown(m_, w, target)
+            calls.append((w, target, out))
+            return out
+
+        def no_equals(*args):
+            raise AssertionError("equals called")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graded, "pushdown", spy)
+            mp.setattr(graded, "equals", no_equals)
+            verdict = is_positive(m, v, cap)
+        if v.is_zero():
+            assert verdict is Verdict.ZERO and not calls
+            return
+        base = v.min_stage()
+        w = v
+        for k, (arg, target, out) in enumerate(calls):
+            assert arg == w
+            last = k == len(calls) - 1
+            decided = out.is_zero() or out.is_nonneg() or out.is_nonpos()
+            if k <= cap:
+                assert target == min(base - k, w.min_stage())
+                assert decided is last
+            else:
+                assert last and k == cap + 1
+                assert target == min(base - _decision_depth(m),
+                                     w.min_stage())
+            w = out
+        k = len(calls) - 1
+        if k == cap + 1:
+            assert verdict is (Verdict.ZERO if w.is_zero()
+                               else Verdict.UNKNOWN)
+        elif w.is_zero():
+            assert verdict is Verdict.ZERO
+        else:
+            assert verdict is (Verdict.POSITIVE if w.is_nonneg()
+                               else Verdict.NEGATIVE)
+
+    def test_positive_at_the_top_stage_pushes_once(self, monkeypatch):
+        """A nonnegative element is decided at its own support minimum:
+        one pushdown to it, where the equality pre-pass pushed 64 stages
+        further down first."""
+        g = heavy_graph(Random(5), 10, 32)
+        m = graded_module(g)
+        targets = []
+
+        def spy(m_, w, target):
+            targets.append(target)
+            return pushdown(m_, w, target)
+
+        monkeypatch.setattr(graded, "pushdown", spy)
+        v = m.generator("v0", 3) + m.generator("v1", 1)
+        assert _decision_depth(m) > 1
+        assert is_positive(m, v, 10) is Verdict.POSITIVE
+        assert targets == [1]
+
+    def test_h0_is_positive_runs_at_most_one_search(self, monkeypatch):
+        """Per call, at most one breadth-first search starts; unseparated
+        vectors whose search from vec fails, which also searched from -vec
+        before, are among the calls."""
+        searches = []
+
+        class Counted(deque):
+            def __init__(self, items):
+                searches.extend(items)
+                super().__init__(items)
+
+        monkeypatch.setattr(homology, "deque", Counted)
+        rng = Random(43)
+        futile = 0
+        for _ in range(200):
+            g = random_graph(rng, 5, 8)
+            n = len(g.vertices)
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            for cap in (0, 1, 5, 20):
+                searches.clear()
+                verdict = h0_is_positive(g, v, cap)
+                assert len(searches) <= 1
+                futile += verdict is Verdict.UNKNOWN and searches == [v]
+        assert futile > 0
+
+
+BAD_CAPS = [(-1, "cap must be nonnegative"),
+            (True, "caps must be ints, got True"),
+            (False, "caps must be ints, got False"),
+            (2.0, "caps must be ints, got 2.0"),
+            (-1.5, "caps must be ints, got -1.5"),
+            ("2", "caps must be ints, got '2'")]
+
+
+class TestOrderTestErrors:
+    """The three order tests raise the messages they raised with two
+    walks, in the same order: the cap first, then the element."""
+
+    @pytest.mark.parametrize("cap, message", BAD_CAPS)
+    def test_bad_caps(self, graph_e, cap, message):
+        m = graded_module(graph_e)
+        t = dimension_triple(graph_e)
+        good = m.generator("u", 0) - m.generator("v", -1)
+        # a wrong-length element still reports the cap
+        bad = sv({0: (1, -1, 0)})
+        for args in ((m, good, cap), (m, bad, cap)):
+            assert verdict_or_error(is_positive, *args) == \
+                (ValueError, message) == \
+                verdict_or_error(reference_is_positive, *args)
+        for a in (((1, -1), 0), ((1, -1, 0), 0)):
+            assert verdict_or_error(t.is_positive, a, cap) == \
+                (ValueError, message) == \
+                verdict_or_error(reference_triple_is_positive, t, a, cap)
+        for vec in ((1, -1), (1, -1, 0)):
+            assert verdict_or_error(h0_is_positive, graph_e, vec, cap) == \
+                (ValueError, message)
+
+    def test_int_subclass_caps(self, graph_e):
+        class Tagged(int):
+            pass
+
+        m = graded_module(graph_e)
+        t = dimension_triple(graph_e)
+        v = m.generator("u", 0) - m.generator("v", 0)
+        for cap in (0, 3):
+            assert is_positive(m, v, Tagged(cap)) is \
+                reference_is_positive(m, v, cap)
+            assert t.is_positive(((1, -1), 0), Tagged(cap)) is \
+                reference_triple_is_positive(t, ((1, -1), 0), cap)
+            assert h0_is_positive(graph_e, (1, -1), Tagged(cap)) is \
+                h0_is_positive(graph_e, (1, -1), cap)
+
+    @pytest.mark.parametrize("mapping, message", [
+        ({0: (1, 0), 1: (1, 0, 0)},
+         "stage 1: vector length 3 does not match 2 vertices"),
+        ({-1: (1,), 0: (1, 0)},
+         "stage -1: vector length 1 does not match 2 vertices"),
+        ({-2: (0, 1, 0), 3: (2,)},
+         "stage -2: vector length 3 does not match 2 vertices"),
+        ({0: (1, -1, 2)},
+         "stage 0: vector length 3 does not match 2 vertices"),
+    ])
+    def test_mixed_length_stage_vectors(self, graph_e, mapping, message):
+        m = graded_module(graph_e)
+        v = sv(mapping)
+        for cap in (0, 2):
+            assert verdict_or_error(is_positive, m, v, cap) == \
+                (ValueError, message) == \
+                verdict_or_error(reference_is_positive, m, v, cap)
+
+    @pytest.mark.parametrize("vec", [
+        (0, 0, 0), (1, 0, 0), (-1, 0, 0), (1, -1, 0), (0,), (1,), (-2,),
+        (), (0.5, 0, 0), (0, True)])
+    def test_triple_wrong_length_vectors(self, graph_e, vec):
+        t = dimension_triple(graph_e)
+        for cap in (0, 3):
+            got = verdict_or_error(t.is_positive, (vec, 0), cap)
+            assert got == verdict_or_error(reference_triple_is_positive, t,
+                                           (vec, 0), cap)
+            assert got[0] is ValueError
+
+    @pytest.mark.parametrize("vec", [(), (0,), (1,), (-1,), (0, 0),
+                                     (1, -1), (2, 0, -1)])
+    def test_triple_without_vertices(self, vec):
+        """The 0 x 0 transposed adjacency: the outcomes of the two walks,
+        which check no length before applying it."""
+        t = dimension_triple(graph_from_dict({"vertices": [], "edges": []}))
+        for cap in (0, 3):
+            assert verdict_or_error(t.is_positive, (vec, 0), cap) == \
+                verdict_or_error(reference_triple_is_positive, t, (vec, 0),
+                                 cap)
+
+
 class TestExactSequence:
     def test_fixture_reports(self, graph_e, graph_f, single_sink, single_loop,
                              triple_loop, weighted_loop):
@@ -788,6 +1115,13 @@ class TestExactSequence:
             assert rep["sigma_lambda_zero"] is True
             assert rep["coker_lambda_equals_h0"] is True
             assert rep["h0_group"] == h0(g)
+
+    def test_graph_without_vertices(self):
+        rep = verify_exact_sequence(graph_from_dict({"vertices": [],
+                                                     "edges": []}))
+        assert rep["sigma_lambda_zero"] is True
+        assert rep["coker_lambda_equals_h0"] is True
+        assert rep["h0_group"].describe() == "0"
 
     def test_sigma_lambda_zero_on_arbitrary_elements(self):
         rng = Random(89)
@@ -953,6 +1287,17 @@ class TestDimensionTriple:
             assert (gv is Verdict.ZERO) == (tv is Verdict.ZERO)
             assert not (gv is Verdict.POSITIVE and tv is Verdict.NEGATIVE)
             assert not (gv is Verdict.NEGATIVE and tv is Verdict.POSITIVE)
+
+    def test_group_matches_cokernel(self):
+        """The free quotient by the eventual kernel is the cokernel of its
+        basis, which the group was computed as by a Smith form."""
+        rng = Random(103)
+        kernels = 0
+        for _ in range(300):
+            t = dimension_triple(random_graph(rng, 7, 14, sink_free=True))
+            assert t.group() == cokernel(t.eventual_kernel_basis.transpose())
+            kernels += t.eventual_kernel_basis.nrows > 0
+        assert kernels > 50
 
     def test_automorphism_commutes_with_equality(self, graph_e):
         t = dimension_triple(graph_e)
