@@ -23,7 +23,7 @@ from .graph import Graph, adjacency, check_unit_sink_free
 from .homology import h0_presentation
 from .intlinalg import (FpAbelianGroup, IntMatrix, _require_int,
                         characteristic_polynomial, kernel_basis, mat_pow,
-                        sparse_cokernel)
+                        sparse_characteristic_polynomial, sparse_cokernel)
 
 
 @dataclass(frozen=True)
@@ -187,10 +187,29 @@ def nonzero_spectrum_fingerprint(a: IntMatrix) -> tuple[int, ...]:
     spectrum with multiplicities is preserved. Monic, so the canonical
     leading coefficient is 1; the zero-dimensional matrix gives (1,).
     """
-    coeffs = list(characteristic_polynomial(a))
+    return _without_t(characteristic_polynomial(a))
+
+
+def _without_t(chi: tuple[int, ...]) -> tuple[int, ...]:
+    """chi with its trailing zero coefficients, the factors t, removed."""
+    coeffs = list(chi)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _adjacency_rows(g: Graph) -> list[tuple[tuple[int, int], ...]]:
+    """The nonzeros (j, A_ij) of each row of ``adjacency(g)``, read from
+    the out-edges, with no dense matrix."""
+    index = g.vertex_index
+    rows = []
+    for v in g.vertices:
+        row = {}
+        for e in g.out_edges(v):
+            j = index(e.dst)
+            row[j] = row.get(j, 0) + 1
+        rows.append(tuple(row.items()))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -215,12 +234,15 @@ def graph_invariants(g: Graph) -> GraphInvariants:
     of the presentation's relation columns: nothing here reads class
     coordinates, so the logged elimination that ``h0`` shares with the
     class queries is neither run nor kept on the presentation. The Smith
-    diagonal is unique, so both give the same group."""
+    diagonal is unique, so both give the same group. The fingerprint is
+    ``nonzero_spectrum_fingerprint(adjacency(g))``, but read from the
+    sparse rows of A, so no dense n x n matrix is built."""
     pres = h0_presentation(g)
     return GraphInvariants(
         h0_group=sparse_cokernel(pres.relation_columns,
                                  len(pres.vertex_order)),
-        spectrum=nonzero_spectrum_fingerprint(adjacency(g)))
+        spectrum=_without_t(
+            sparse_characteristic_polynomial(_adjacency_rows(g))))
 
 
 @dataclass(frozen=True)

@@ -449,9 +449,20 @@ class DimensionTriple:
             acc = list(map(add, acc, part))
         return (tuple(acc), level)
 
+    def _vector(self, vec) -> tuple[int, ...]:
+        """vec as ints, of length ``rank``, with ``mat_pow_apply``'s error
+        otherwise, for every rank and power."""
+        vec = _int_vector(vec)
+        if len(vec) != self.rank:
+            raise ValueError("dimension mismatch: %s applied to length %d"
+                             % (self.at.shape, len(vec)))
+        return vec
+
     def equal(self, a, b) -> bool:
-        """Whether two (vector, level) pairs name the same limit element."""
+        """Whether two (vector, level) pairs name the same limit element.
+        Both vectors are checked before either is walked."""
         (va, na), (vb, nb) = a, b
+        va, vb = self._vector(va), self._vector(vb)
         level = max(na, nb)
         wa = mat_pow_apply(self.at, va, level - na)
         wb = mat_pow_apply(self.at, vb, level - nb)
@@ -465,10 +476,7 @@ class DimensionTriple:
         Negative: with no sinks, A^T sends neither to 0. Else Unknown."""
         cap = _require_cap(cap)
         vec, _ = a
-        cur = _int_vector(vec)
-        if self.rank and len(cur) != self.rank:  # mat_pow_apply's check
-            raise ValueError("dimension mismatch: %s applied to length %d"
-                             % (self.at.shape, len(cur)))
+        cur = self._vector(vec)
         for k in range(max(cap, self.rank) + 1):
             if not any(cur):
                 return Verdict.ZERO

@@ -39,6 +39,9 @@ cokernels need only the diagonal, from the one cokernel path
 +-(e_a - e_b), each merge a factor 1, so SNF(A) = diag(1, ..., 1,
 SNF(A')), and the rows of the rest A' go to ``_eliminate``, sparsest
 first. The Smith diagonal is unique, so both paths give the same factors.
+``sparse_characteristic_polynomial`` reads a square matrix in the same
+pair form by rows, which are the columns of its transpose, a matrix with
+the same characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -544,10 +547,137 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return _left_kernel(smith_normal_form(a.transpose()))
 
 
+def _strong_components(succ) -> list[list[int]]:
+    """The strongly connected components of the digraph on range(n),
+    n = len(succ), with an arc v -> w for each w in succ[v].
+
+    Tarjan's algorithm with an explicit stack of (vertex, arc iterator)
+    frames in place of recursion, so a path of any length costs no Python
+    stack depth. index[v] is v's discovery number, low[v] the least
+    discovery number of an unfinished vertex reached from v's subtree by
+    one back or cross arc; v roots a component exactly when
+    low[v] == index[v], and its component is then the vertices above it
+    on ``stack``. Each arc is followed once. Components come out in
+    reverse topological order: no arc leaves a component for a later one.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    where = [0] * n  # position on ``stack``
+    done = [False] * n
+    stack, comps = [], []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        where[root] = len(stack)
+        stack.append(root)
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            v, arcs = frames[-1]
+            for w in arcs:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    where[w] = len(stack)
+                    stack.append(w)
+                    frames.append((w, iter(succ[w])))
+                    break
+                if not done[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                frames.pop()
+                if low[v] == index[v]:
+                    comp = stack[where[v]:]
+                    del stack[where[v]:]
+                    for w in comp:
+                        done[w] = True
+                    comps.append(comp)
+                elif low[v] < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low[v]
+    return comps
+
+
 def characteristic_polynomial(a: IntMatrix) -> tuple[int, ...]:
     """Monic characteristic polynomial det(tI - A), coefficients by
-    descending degree, from the power sums p_k = tr(A^k) by Newton's
-    identities.
+    descending degree: ``sparse_characteristic_polynomial`` of the
+    nonzeros of A's rows, which are scanned once."""
+    n = a.nrows
+    if a.ncols != n:
+        raise ValueError("A must be square, got %s x %s" % (n, a.ncols))
+    return sparse_characteristic_polynomial(
+        [[(j, x) for j, x in enumerate(row) if x] for row in a.rows])
+
+
+def sparse_characteristic_polynomial(rows) -> tuple[int, ...]:
+    """``characteristic_polynomial`` of the n x n matrix A, n = len(rows),
+    whose row i has the nonzeros (j, A_ij) listed in rows[i], columns
+    distinct; the rows are only read.
+
+    The product is taken over the strongly connected components of A's
+    nonzero pattern, the digraph with an arc i -> j where A_ij != 0.
+    List the components in a topological order C_1, ..., C_r, every arc
+    between two of them running from an earlier to a later one, and the
+    vertices in that order, component by component. The permutation
+    matrix P of this listing makes P A P^T block upper triangular: an
+    entry below the diagonal blocks would be an arc from a later
+    component to an earlier one. Its diagonal blocks are A[C, C], the
+    rows and columns of the component C. det(tI - A) =
+    det(P (tI - A) P^T) = det(tI - P A P^T), as det P det P^T = 1, and the
+    determinant of a block triangular matrix is the product of the
+    determinants of its diagonal blocks, so det(tI - A) is the product
+    of det(tI - A[C, C]) over the components. Multiplication of
+    polynomials commutes, so the order in which ``_strong_components``
+    lists them does not matter.
+
+    A component of one vertex v contributes t - A_vv, a factor t when v
+    has no loop. Each other block gets its polynomial from
+    ``_packed_characteristic_polynomial`` at its own size |C| and slot
+    width w_C = bitlength(rho_C^|C|) + 1, rho_C the largest absolute row
+    sum inside the block: the slot argument there holds for A[C, C] as a
+    matrix in its own right, so every factor is exact, and so is their
+    product. An entry between two components, that is an entry on no
+    cycle, lies in no block and widens no slot. The one component of a
+    strongly connected A is A itself and is not copied.
+    """
+    chi, zeros = [1], 0
+    for comp in _strong_components([[j for j, _ in row] for row in rows]):
+        if len(comp) == 1:
+            v = comp[0]
+            x = next((x for j, x in rows[v] if j == v), 0)
+            if x:
+                chi = _poly_mul(chi, [1, -x])
+            else:
+                zeros += 1
+            continue
+        if len(comp) == len(rows):
+            block = rows
+        else:
+            local = {v: i for i, v in enumerate(comp)}
+            block = [[(local[j], x) for j, x in rows[v] if j in local]
+                     for v in comp]
+        chi = _poly_mul(chi, _packed_characteristic_polynomial(block))
+    return tuple(chi) + (0,) * zeros
+
+
+def _poly_mul(p, q) -> list[int]:
+    """The product of two polynomials, coefficients by descending degree;
+    the factor [1] is returned as the other one."""
+    if p == [1]:
+        return q
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _packed_characteristic_polynomial(nonzeros) -> list[int]:
+    """det(tI - A) for the n x n matrix A, n = len(nonzeros), given as in
+    ``sparse_characteristic_polynomial``, from the power sums
+    p_k = tr(A^k) by Newton's identities.
 
     Write det(tI - A) = t^n + c_1 t^(n-1) + ... + c_n. Newton's identities
     read k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1) for k = 1..n.
@@ -578,29 +708,25 @@ def characteristic_polynomial(a: IntMatrix) -> tuple[int, ...]:
     take. H = 0 when A >= 0, adjacency matrices among them, and then no
     correction is made; a zero row of A gives Q'_i = H.
 
-    Cost: A is validated once and its nonzeros are read once per row.
-    Each of the n - 1 products costs nnz(A) big-int multiply-adds on ints
-    of at most n w bits, an entry x = 1 adding Q_j without a multiply and
-    each row starting from its first term, plus, only when A has a
-    negative entry, one subtraction per row whose sum is not 1. Each power
-    sum costs n shifts and masks; no int is added to read a slot, and no
-    entry of A^k is handled on its own. When A >= 0, Q_i has no bits
-    above its last nonzero slot, so a sparse A keeps its packed rows
-    short. The width follows the bound rho^n, not the size the entries of
-    A^k reach, so one heavy entry widens every slot: a cycle of n
-    vertices with one edge of weight 10^6 has entries of at most 20 bits
-    but slots of about 20 n.
+    Cost: each of the n - 1 products costs nnz(A) big-int multiply-adds
+    on ints of at most n w bits, an entry x = 1 adding Q_j without a
+    multiply and each row starting from its first term, plus, only when
+    A has a negative entry, one subtraction per row whose sum is not 1.
+    Each power sum costs n shifts and masks; no int is added to read a
+    slot, and no entry of A^k is handled on its own. When A >= 0, Q_i has
+    no bits above its last nonzero slot, so a sparse A keeps its packed
+    rows short. The width follows the bound rho^n, not the size the
+    entries of A^k reach, so one heavy entry on a cycle widens every
+    slot of its component: a cycle of n vertices with one edge of weight
+    10^6 has entries of at most 20 bits but slots of about 20 n.
     """
-    n = a.nrows
-    if a.ncols != n:
-        raise ValueError("A must be square, got %s x %s" % (n, a.ncols))
-    abs_sums = [sum(map(abs, row)) for row in a.rows]
-    row_sums = [sum(row) for row in a.rows]
+    n = len(nonzeros)
+    abs_sums = [sum(abs(x) for _, x in row) for row in nonzeros]
+    row_sums = [sum(x for _, x in row) for row in nonzeros]
     rho = max([1] + abs_sums)
     w = (rho ** n).bit_length() + 1
     shifts = [w * i for i in range(n)]
     mask = (1 << w) - 1
-    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in a.rows]
     if abs_sums == row_sums:  # A >= 0
         h = fill = 0
         offsets = [0] * n
@@ -632,7 +758,7 @@ def characteristic_polynomial(a: IntMatrix) -> tuple[int, ...]:
                     acc += power[j] if x == 1 else x * power[j]
                 rows.append(acc - off if off else acc)
             power = rows
-    return tuple(coeffs)
+    return coeffs
 
 
 def eventual_kernel(a: IntMatrix) -> IntMatrix:
@@ -695,11 +821,11 @@ def mat_pow_apply(a: IntMatrix, vec, k: int):
     if k < 0:
         raise ValueError("negative matrix power")
     vec = _int_vector(vec)
-    if k == 0:
-        return vec
     if len(vec) != a.ncols:
         raise ValueError("dimension mismatch: %s applied to length %d"
                          % (a.shape, len(vec)))
+    if k == 0:
+        return vec
     if k > 1 and a.nrows != a.ncols:
         raise ValueError("iterated application requires a square matrix")
     for _ in range(k):

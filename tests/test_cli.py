@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -579,13 +580,21 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+# Wording of Python's own exceptions, which no error of the program
+# itself uses: a message that matches leaked an internal failure.
+INTERNAL_MESSAGES = re.compile(
+    r"range\(\) arg|division by zero|index out of range|object of type"
+    r"|unsupported operand|has no attribute")
+
+
 class TestFuzz:
     @settings(max_examples=150, deadline=None)
     @given(fuzz_graph_documents(), fuzz_graph_documents(), st.data())
     def test_every_run_exits_0_or_2_with_json(self, fuzz_dir, left, right,
                                               data):
         """Any small graph document and argv get a report (exit 0) or a
-        JSON error (exit 2), never a traceback."""
+        JSON error (exit 2), never a traceback; an error has one of the
+        four kinds and none of Python's own messages."""
         files = []
         for name, doc in (("left.json", left), ("right.json", right)):
             (fuzz_dir / name).write_text(json.dumps(doc), encoding="utf-8")
@@ -595,3 +604,9 @@ class TestFuzz:
         doc = json.loads(out)
         assert code in (0, 2), argv
         assert ("error" in doc) == (code == 2), argv
+        if code == 2:
+            error = doc["error"]
+            assert error["kind"] in ("usage", "format", "file", "value"), \
+                (argv, error)
+            assert not INTERNAL_MESSAGES.search(error["message"]), \
+                (argv, error)

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import sys
 from itertools import product
 from math import comb
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from grhom import dynamics, graph
 from grhom.corpus import random_primitive_graph
 from grhom.dynamics import (SearchBudget, ShiftEquivalenceCertificate,
                             _intertwiners, _require_square,
@@ -17,7 +19,8 @@ from grhom.dynamics import (SearchBudget, ShiftEquivalenceCertificate,
 from grhom.graded import dimension_triple
 from grhom.graph import adjacency, graph_from_dict, graph_to_dict
 from grhom.homology import Verdict, h0, h0_presentation
-from grhom.intlinalg import IntMatrix, mat_pow
+from grhom.intlinalg import (IntMatrix, _strong_components, mat_pow,
+                             sparse_characteristic_polynomial)
 from linalg_helpers import det, row_sum_two
 
 
@@ -535,6 +538,125 @@ class TestSpectrum:
         rows[n - 1][0] = 10 ** 6
         assert characteristic_polynomial(mat(rows)) == \
             (1,) + (0,) * (n - 1) + (-10 ** 6,)
+
+
+@st.composite
+def hidden_block_triangular(draw):
+    """A signed block upper triangular matrix of size n <= 10 with its
+    vertices listed in a drawn order. Diagonal blocks have 1-4 vertices,
+    so trivial components occur with and without a loop; entries are in
+    -9..9 with 0 and 1 drawn often; a drawn set of rows and of columns
+    is then zeroed."""
+    sizes, n = [], 0
+    for size in draw(st.lists(st.integers(1, 4), max_size=6)):
+        if n + size > 10:
+            break
+        sizes.append(size)
+        n += size
+    entry = st.one_of(st.sampled_from((0, 1)), st.integers(-9, 9))
+    a = [[0] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            for j in range(start, n):
+                a[i][j] = draw(entry)
+        start += size
+    indices = st.sets(st.integers(0, n - 1)) if n else st.just(set())
+    for i in draw(indices):
+        a[i] = [0] * n
+    for j in draw(indices):
+        for row in a:
+            row[j] = 0
+    return mat(permute(a, draw(st.permutations(range(n))))) if n else \
+        IntMatrix((), 0)
+
+
+def sparse_rows(a):
+    return [[(j, x) for j, x in enumerate(row) if x] for row in a.rows]
+
+
+class TestComponentProduct:
+    """``characteristic_polynomial`` as the product over the strongly
+    connected components of the nonzero pattern."""
+
+    @settings(max_examples=300)
+    @given(hidden_block_triangular())
+    @example(IntMatrix((), 0))
+    @example(mat([[0]]))
+    @example(mat([[-7]]))
+    @example(mat([[0, 5], [0, 0]]))
+    @example(mat([[2, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    def test_block_triangular_matches_reference(self, a):
+        expect = reference_characteristic_polynomial(a)
+        assert characteristic_polynomial(a) == expect
+        # the order of the nonzeros within a row does not matter
+        rows = [row[::-1] for row in sparse_rows(a)]
+        assert sparse_characteristic_polynomial(rows) == expect
+
+    @given(st.integers(0, 9).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, max(n - 1, 0)), max_size=4),
+        min_size=n, max_size=n)))
+    def test_components_are_mutual_reachability_classes(self, succ):
+        """Against the transitive closure by Warshall's algorithm; the
+        components partition the vertices, and no arc runs from a
+        component to a later one."""
+        n = len(succ)
+        reach = [[i == j for j in range(n)] for i in range(n)]
+        for v, ws in enumerate(succ):
+            for w in ws:
+                reach[v][w] = True
+        for k in range(n):
+            for i in range(n):
+                if reach[i][k]:
+                    reach[i] = [x or y for x, y in zip(reach[i], reach[k])]
+        classes = {frozenset(j for j in range(n) if reach[i][j]
+                             and reach[j][i]) for i in range(n)}
+        comps = _strong_components(succ)
+        assert sorted(v for comp in comps for v in comp) == list(range(n))
+        assert {frozenset(comp) for comp in comps} == classes
+        position = {v: k for k, comp in enumerate(comps) for v in comp}
+        assert all(position[w] <= position[v]
+                   for v, ws in enumerate(succ) for w in ws)
+
+    def test_long_path_needs_no_recursion(self):
+        """A path of 3,000 vertices ending in a loop, deeper than the
+        interpreter's recursion limit: every vertex is its own component,
+        and det(tI - A) = t^2999 (t - 1)."""
+        n = 3000
+        assert n > sys.getrecursionlimit()
+        rows = [((i + 1, 1),) for i in range(n - 1)] + [((n - 1, 1),)]
+        comps = _strong_components([[j for j, _ in row] for row in rows])
+        assert comps == [[v] for v in reversed(range(n))]
+        assert sparse_characteristic_polynomial(rows) == \
+            (1, -1) + (0,) * (n - 1)
+        names = ["v%d" % i for i in range(n)]
+        g = graph_from_dict({"vertices": names, "edges": [
+            {"id": "e%d" % i, "src": names[i], "dst": names[min(i + 1, n - 1)]}
+            for i in range(n)]})
+        assert graph_invariants(g).spectrum == (1, -1)
+
+    def test_off_block_weight_widens_no_slot(self):
+        """An entry of 10^300 on no cycle: its matrix has the polynomial
+        of its two loops, and neither block sees the entry."""
+        a = mat([[1, 10 ** 300], [0, 2]])
+        assert characteristic_polynomial(a) == (1, -3, 2)
+        assert reference_characteristic_polynomial(a) == (1, -3, 2)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 7).flatmap(lambda n: square(n, st.integers(0, 3))))
+    def test_graph_invariants_builds_no_dense_matrix(self, a):
+        """On multigraphs with loops and parallel edges, listed in two
+        vertex orders: ``graph_invariants`` never calls ``adjacency``, and
+        its fingerprint is that of the dense matrix."""
+        def spy(_):
+            raise AssertionError("graph_invariants called adjacency")
+
+        for g in (graph_of(a), permuted(graph_of(a))):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dynamics, "adjacency", spy)
+                patch.setattr(graph, "adjacency", spy)
+                spectrum = graph_invariants(g).spectrum
+            assert spectrum == nonzero_spectrum_fingerprint(adjacency(g))
 
 
 class TestVerdictPipeline:

@@ -1097,13 +1097,53 @@ class TestOrderTestErrors:
     @pytest.mark.parametrize("vec", [(), (0,), (1,), (-1,), (0, 0),
                                      (1, -1), (2, 0, -1)])
     def test_triple_without_vertices(self, vec):
-        """The 0 x 0 transposed adjacency: the outcomes of the two walks,
-        which check no length before applying it."""
+        """The 0 x 0 transposed adjacency: the empty vector is Zero, and
+        any other length raises, whatever its entries' signs."""
         t = dimension_triple(graph_from_dict({"vertices": [], "edges": []}))
+        expect = Verdict.ZERO if not vec else (
+            ValueError,
+            "dimension mismatch: (0, 0) applied to length %d" % len(vec))
         for cap in (0, 3):
-            assert verdict_or_error(t.is_positive, (vec, 0), cap) == \
-                verdict_or_error(reference_triple_is_positive, t, (vec, 0),
-                                 cap)
+            assert verdict_or_error(t.is_positive, (vec, 0), cap) == expect
+
+    @pytest.mark.parametrize("vertices, loops", [([], 0), (["u"], 1),
+                                                 (["u", "v"], 2)])
+    def test_triple_equal_wrong_length_at_level_difference_zero(
+            self, vertices, loops):
+        """``equal`` checks both vectors before any walk, also where the
+        walk has length 0: equal levels, or the vertex-less triple."""
+        t = dimension_triple(graph_from_dict({"vertices": vertices, "edges": [
+            {"id": "e%d" % i, "src": v, "dst": v}
+            for i, v in enumerate(vertices)]}))
+        good = (1,) * loops
+        for bad in ((), (1,), (0, 0), (1, -2, 0)):
+            if len(bad) == loops:
+                continue
+            message = ("dimension mismatch: (%d, %d) applied to length %d"
+                       % (loops, loops, len(bad)))
+            for a, b in (((good, 0), (bad, 0)), ((bad, 0), (good, 0)),
+                         ((bad, 3), (good, 3)), ((good, 1), (bad, 0))):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    t.equal(a, b)
+        assert t.equal((good, 0), (good, 0))
+
+    def test_triple_equal_checks_first_vector_first(self, single_loop,
+                                                    monkeypatch):
+        """Both lengths are checked before any walk, the first vector's
+        first."""
+        t = dimension_triple(single_loop)
+        walks = []
+        monkeypatch.setattr(graded, "mat_pow_apply",
+                            lambda *args: walks.append(args))
+        with pytest.raises(ValueError, match="applied to length 2$"):
+            t.equal(((1,), 5), ((1, 2), 0))
+        assert walks == []
+        with pytest.raises(ValueError, match="applied to length 2$"):
+            t.equal(((1, 2), 0), ((1, 2, 3), 0))
+        with pytest.raises(ValueError, match="applied to length 3$"):
+            t.equal(((1,), 0), ((1, 2, 3), 0))
+        with pytest.raises(ValueError, match="applied to length 2$"):
+            t.equal(((1, 2), 0), ((1,), 0))
 
 
 class TestExactSequence:

@@ -918,6 +918,17 @@ class TestPowersAndSpan:
     def test_power_zero_is_identity_for_any_shape(self):
         assert mat_pow_apply(mat([[1, 2]]), (7, 9), 0) == (7, 9)
 
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_length_checked_at_every_power(self, k):
+        for a, vec in ((mat([[1, 1], [1, 0]]), (1,)),
+                       (mat([[1, 1], [1, 0]]), (1, 0, 0)),
+                       (IntMatrix((), 0), (0,)), (IntMatrix((), 0), (1, -1))):
+            with pytest.raises(ValueError, match=r"^dimension mismatch: "
+                               r"\(%d, %d\) applied to length %d$"
+                               % (a.nrows, a.ncols, len(vec))):
+                mat_pow_apply(a, vec, k)
+        assert mat_pow_apply(IntMatrix((), 0), (), k) == ()
+
     def test_fibonacci(self):
         assert mat_pow_apply(mat([[1, 1], [1, 0]]), (1, 0), 5) == (8, 5)
 
