@@ -17,6 +17,7 @@ a proof of inequivalence.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import Graph, adjacency, check_unit_sink_free
@@ -114,27 +115,22 @@ def _intertwiners(a: IntMatrix, b: IntMatrix, bound: int) -> list[IntMatrix]:
     basis = kernel_basis(IntMatrix(tuple(eqs), size)).rows
     pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
     ends = pivots[1:] + [size]
-    found = []
-
-    def walk(level, y):
-        if level == len(basis):
-            flat = y[::-1]
-            found.append(IntMatrix(
-                tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(n)), m))
-            return
-        row, c, end = basis[level], pivots[level], ends[level]
+    # the partial solutions after each basis row, level by level, each
+    # parent's children in ascending z: the order a depth-first walk gives
+    partial = [[0] * size]
+    for row, c, end in zip(basis, pivots, ends):
         p = row[c]
-        for z in range(-(y[c] // p), (bound - y[c]) // p + 1):
-            x = [yt + z * kt for yt, kt in zip(y, row)]
-            # unknowns c..end-1 are final: later rows vanish there
-            if all(0 <= x[t] <= bound for t in range(c + 1, end)):
-                walk(level + 1, x)
-
-    walk(0, [0] * size)
-    # walk's closure cell refers to walk itself: clear it, or the cycle
-    # keeps ``found`` alive until the next cyclic collection
-    del walk
-    return found
+        nxt = []
+        for y in partial:
+            for z in range(-(y[c] // p), (bound - y[c]) // p + 1):
+                x = [yt + z * kt for yt, kt in zip(y, row)]
+                # unknowns c..end-1 are final: later rows vanish there
+                if all(0 <= x[t] <= bound for t in range(c + 1, end)):
+                    nxt.append(x)
+        partial = nxt
+    flats = (y[::-1] for y in partial)
+    return [IntMatrix(tuple(tuple(f[i * m:(i + 1) * m]) for i in range(n)), m)
+            for f in flats]
 
 
 def search_shift_equivalence(a: IntMatrix, b: IntMatrix, max_lag: int,
@@ -200,16 +196,8 @@ def _without_t(chi: tuple[int, ...]) -> tuple[int, ...]:
 
 def _adjacency_rows(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     """The nonzeros (j, A_ij) of each row of ``adjacency(g)``, read from
-    the out-edges, with no dense matrix."""
-    index = g.vertex_index
-    rows = []
-    for v in g.vertices:
-        row = {}
-        for e in g.out_edges(v):
-            j = index(e.dst)
-            row[j] = row.get(j, 0) + 1
-        rows.append(tuple(row.items()))
-    return rows
+    ``Graph.out_arcs``, with no dense matrix."""
+    return [tuple(Counter(j for j, _ in arcs).items()) for arcs in g.out_arcs]
 
 
 @dataclass(frozen=True)

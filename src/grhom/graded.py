@@ -10,10 +10,13 @@ Z[x, x^-1]-module; the connecting endomorphism is multiplication by (x - 1)
 and the stage-collapsing map sums each generator's coefficients into the
 ambient vertex vector. Equality of elements is decidable: push the
 difference down far enough and test for the zero vector; how far is the
-decision depth of ``_decision_depth``, whose docstring proves it. For
-sink-free weight-1 graphs the same module is presented as the stationary
-inductive limit of Z^vertices along the transposed adjacency matrix (the
-Krieger dimension triple, with its canonical automorphism and positivity).
+decision depth of ``_decision_depth``, whose docstring proves it. The
+relations are read from ``Graph.out_arcs``, the (target index, weight)
+of each out-edge per vertex index, which the module shares with every
+other layer that reads the graph's edges. For sink-free weight-1 graphs
+the same module is presented as the stationary inductive limit of
+Z^vertices along the transposed adjacency matrix (the Krieger dimension
+triple, with its canonical automorphism and positivity).
 """
 
 from __future__ import annotations
@@ -142,8 +145,7 @@ class GradedModule:
     @cached_property
     def regular(self) -> tuple[bool, ...]:
         """Per vertex index, whether the vertex emits an edge."""
-        g = self.graph
-        return tuple(bool(g.out_edges(v)) for v in g.vertices)
+        return tuple(map(bool, self.graph.out_arcs))
 
     @property
     def stabilization_bound(self) -> int:
@@ -154,14 +156,6 @@ class GradedModule:
     @cached_property
     def max_weight(self) -> int:
         return self.graph.max_weight()
-
-    @cached_property
-    def _out(self):
-        # per vertex index: tuple of (target index, weight) over out-edges
-        g = self.graph
-        return tuple(tuple((g.vertex_index(e.dst), e.weight)
-                           for e in g.out_edges(v))
-                     for v in g.vertices)
 
     @property
     def nvertices(self):
@@ -179,7 +173,7 @@ class GradedModule:
             raise ValueError("vertex %r is a sink; no relation there" % vertex)
         acc: dict[int, list[int]] = {stage: [0] * self.nvertices}
         acc[stage][idx] = 1
-        for tgt, w in self._out[idx]:
+        for tgt, w in self.graph.out_arcs[idx]:
             row = acc.setdefault(stage - w, [0] * self.nvertices)
             row[tgt] -= 1
         return StagedVector.build(acc)
@@ -225,7 +219,7 @@ def pushdown(m: GradedModule, v: StagedVector, target: int) -> StagedVector:
         work[stage] = list(vec)
     heap = [-s for s in work if s > target]
     heapq.heapify(heap)
-    regular, out = m.regular, m._out
+    regular, out = m.regular, m.graph.out_arcs
     while heap:
         s = -heapq.heappop(heap)
         vec = work[s]
@@ -286,8 +280,8 @@ def _decision_depth(m: GradedModule) -> int:
     so a zero result always means a zero element.
     """
     w_in = [1] * m.nvertices
-    for edges in m._out:
-        for tgt, w in edges:
+    for arcs in m.graph.out_arcs:
+        for tgt, w in arcs:
             if w > w_in[tgt]:
                 w_in[tgt] = w
     return sum(m.regular) + sum(w_in) - m.nvertices
@@ -346,12 +340,13 @@ def sigma_map(v: StagedVector) -> tuple[int, ...]:
 
 
 def _sample_elements(m: GradedModule):
-    for v in m.graph.vertices:
+    n = m.nvertices
+    for i in range(n):
         for stage in range(-2, 3):
-            yield m.generator(v, stage)
+            yield StagedVector.build(
+                {stage: [0] * i + [1] + [0] * (n - 1 - i)})
     # sum over i of (2i - 3) a(vertex i, i - 1): each vertex alone at its
     # own stage, and 2i - 3 is never 0
-    n = m.nvertices
     combo = StagedVector.build(
         {i - 1: [0] * i + [2 * i - 3] + [0] * (n - 1 - i) for i in range(n)})
     if not combo.is_zero():
@@ -381,8 +376,8 @@ def verify_exact_sequence(g: Graph) -> dict:
         all(x == 0 for x in sigma_map(lambda_map(v)))
         for v in _sample_elements(m))
 
-    n = m.nvertices
-    stages = sorted({1}.union(1 - w for out in m._out for _, w in out))
+    n, out = m.nvertices, g.out_arcs
+    stages = sorted({1}.union(1 - w for arcs in out for _, w in arcs))
     pos = {s: i for i, s in enumerate(stages)}
     nrows = len(stages) * n
 
@@ -393,7 +388,7 @@ def verify_exact_sequence(g: Graph) -> dict:
     for j in range(n):
         if m.regular[j]:
             col = {pos[1] * n + j: 1}
-            for tgt, w in m._out[j]:
+            for tgt, w in out[j]:
                 r = pos[1 - w] * n + tgt
                 col[r] = col.get(r, 0) - 1
             columns.append(tuple(col.items()))
@@ -460,9 +455,10 @@ class DimensionTriple:
 
     def equal(self, a, b) -> bool:
         """Whether two (vector, level) pairs name the same limit element.
-        Both vectors are checked before either is walked."""
+        Both vectors and both levels are checked before either is walked."""
         (va, na), (vb, nb) = a, b
         va, vb = self._vector(va), self._vector(vb)
+        na, nb = _require_int(na, "levels"), _require_int(nb, "levels")
         level = max(na, nb)
         wa = mat_pow_apply(self.at, va, level - na)
         wb = mat_pow_apply(self.at, vb, level - nb)
@@ -473,10 +469,12 @@ class DimensionTriple:
         """Order test in one walk over (A^T)^k vec for k <= max(cap, rank).
         A zero vector is Zero, exactly: k = rank reaches the eventual kernel.
         For k <= cap a nonnegative vector is Positive and a nonpositive one
-        Negative: with no sinks, A^T sends neither to 0. Else Unknown."""
+        Negative: with no sinks, A^T sends neither to 0. Else Unknown.
+        The level is checked as in ``element`` and plays no other part."""
         cap = _require_cap(cap)
-        vec, _ = a
+        vec, level = a
         cur = self._vector(vec)
+        _require_int(level, "levels")
         for k in range(max(cap, self.rank) + 1):
             if not any(cur):
                 return Verdict.ZERO

@@ -60,6 +60,17 @@ class Graph:
             out[e.src].append(e)
         return {v: tuple(es) for v, es in out.items()}
 
+    @cached_property
+    def out_arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex index, the (target index, weight) of each out-edge,
+        in edge order: the one integer view of the graph that the
+        presentations, the graded module and the adjacency matrices read."""
+        index = self._vindex
+        arcs = [[] for _ in self.vertices]
+        for e in self.edges:
+            arcs[index[e.src]].append((index[e.dst], e.weight))
+        return tuple(map(tuple, arcs))
+
     def vertex_index(self, v):
         try:
             return self._vindex[v]
@@ -301,8 +312,8 @@ def serialize_graph(g: Graph) -> str:
 
 
 def classify_vertices(g: Graph) -> dict[str, VertexClass]:
-    return {v: (VertexClass.REGULAR if g.out_edges(v) else VertexClass.SINK)
-            for v in g.vertices}
+    return {v: (VertexClass.REGULAR if arcs else VertexClass.SINK)
+            for v, arcs in zip(g.vertices, g.out_arcs)}
 
 
 def check_positive_weights(g: Graph, what: str):
@@ -317,8 +328,8 @@ def check_positive_weights(g: Graph, what: str):
 def check_unit_sink_free(g: Graph, what: str):
     """Raise ValueError unless g is sink-free with every weight 1, the class
     of graphs whose edge shifts and dimension triples are defined here."""
-    for v in g.vertices:
-        if not g.is_regular(v):
+    for v, arcs in zip(g.vertices, g.out_arcs):
+        if not arcs:
             raise ValueError("%s requires a sink-free graph; %r is a sink"
                              % (what, v))
     for e in g.edges:
@@ -331,8 +342,9 @@ def adjacency(g: Graph) -> IntMatrix:
     """A[u][v] = number of edges u -> v, rows and columns in vertex order."""
     n = len(g.vertices)
     rows = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        rows[g.vertex_index(e.src)][g.vertex_index(e.dst)] += 1
+    for row, arcs in zip(rows, g.out_arcs):
+        for j, _ in arcs:
+            row[j] += 1
     return IntMatrix.from_rows(rows, n)
 
 

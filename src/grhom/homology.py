@@ -11,7 +11,7 @@ positivity test, and an independent brute-force presentation on truncated
 path generators used as an oracle for the vertex presentation.
 
 A graph's presentation is built once per ``Graph`` instance, as sparse
-relation columns read from the out-edges, and carries the Smith
+relation columns read from ``Graph.out_arcs``, and carries the Smith
 decomposition of the one sparse elimination, computed on first use and
 shared by every query on the graph: ``h0`` reads the group from its
 diagonal, coordinates replay its log forward once per vector
@@ -29,7 +29,7 @@ presentation to the vertex one (Matui, Proc. LMS 2012).
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -115,14 +115,14 @@ def h0_presentation(g: Graph) -> H0Presentation:
     if pres is not None:
         return pres
     check_positive_weights(g, "homology")
-    regular = [v for v in g.vertices if g.out_edges(v)]
-    columns = []
-    for v in regular:
-        col = defaultdict(int)
-        col[g.vertex_index(v)] += 1
-        for e in g.out_edges(v):
-            col[g.vertex_index(e.dst)] -= 1
-        columns.append(tuple((i, x) for i, x in col.items() if x))
+    regular, columns = [], []
+    for i, arcs in enumerate(g.out_arcs):
+        if arcs:
+            regular.append(g.vertices[i])
+            col = {i: 1}
+            for j, _ in arcs:
+                col[j] = col.get(j, 0) - 1
+            columns.append(tuple((r, x) for r, x in col.items() if x))
     pres = H0Presentation(vertex_order=g.vertices,
                           regular_vertices=tuple(regular),
                           relation_columns=tuple(columns))

@@ -229,14 +229,14 @@ def reference_pushdown(m, v, target):
             c = vec[i]
             if c and m.regular[i]:
                 vec[i] = 0
-                for tgt, w in m._out[i]:
+                for tgt, w in m.graph.out_arcs[i]:
                     row = work.setdefault(s - w, [0] * n)
                     row[tgt] += c
     return StagedVector.build(work)
 
 
 class ExpansionLog:
-    """Stands in for ``GradedModule._out``: records the vertex of every
+    """Stands in for ``Graph.out_arcs``: records the vertex of every
     coordinate a pushdown expands, and fails past ``limit`` expansions, so
     a pushdown that runs past its target fails instead of running on."""
 
@@ -251,8 +251,12 @@ class ExpansionLog:
 
 
 def logged(m, limit=None):
-    copy = replace(m)
-    copy.__dict__["_out"] = log = ExpansionLog(m._out, limit)
+    """A module on a copy of m's graph whose out-arcs view is logged; the
+    copy's ``regular`` is m's, read before the log is installed."""
+    g = replace(m.graph)
+    g.__dict__["out_arcs"] = log = ExpansionLog(m.graph.out_arcs, limit)
+    copy = GradedModule(g)
+    copy.__dict__["regular"] = m.regular
     return copy, log
 
 
@@ -1225,7 +1229,7 @@ def full_window_coker_lambda(g):
     for j in range(n):
         if m.regular[j]:
             put(1, j, 1)
-            for tgt, w in m._out[j]:
+            for tgt, w in m.graph.out_arcs[j]:
                 put(1 - w, tgt, -1)
             ncols += 1
     for s in stages[:-1]:
@@ -1284,6 +1288,30 @@ class TestDimensionTriple:
 
         level = dimension_triple(graph_e).element((1, 0), Tagged(2))[1]
         assert level == 2 and type(level) is int
+
+    @pytest.mark.parametrize("bad", ["1", 0.0, 0.5, True, False, None])
+    def test_equal_rejects_non_int_level(self, graph_e, bad):
+        t = dimension_triple(graph_e)
+        for a, b in ((((1, 0), 0), ((1, 0), bad)),
+                     (((1, 0), bad), ((1, 0), 0))):
+            with pytest.raises(ValueError, match="levels must be ints"):
+                t.equal(a, b)
+
+    @pytest.mark.parametrize("bad", ["x", 0.0, 0.5, True, False, None])
+    def test_is_positive_rejects_non_int_level(self, graph_e, bad):
+        t = dimension_triple(graph_e)
+        with pytest.raises(ValueError, match="levels must be ints"):
+            t.is_positive(((1, 0), bad), 2)
+
+    def test_order_queries_accept_int_subclass_levels(self, graph_e):
+        class Tagged(int):
+            pass
+
+        t = dimension_triple(graph_e)
+        # (v, n) and (A^T v, n + 1) name the same element
+        assert t.equal(((1, 0), Tagged(0)), ((1, 1), Tagged(1)))
+        assert not t.equal(((1, 0), Tagged(0)), ((1, 0), Tagged(1)))
+        assert t.is_positive(((1, 0), Tagged(3)), 2) is Verdict.POSITIVE
 
     def test_rejections(self, single_sink, weighted_loop):
         with pytest.raises(ValueError):

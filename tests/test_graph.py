@@ -5,11 +5,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grhom.corpus import enumerate_multigraphs, random_graph
+from grhom.dynamics import graph_invariants
+from grhom.graded import (dimension_triple, equals, graded_module,
+                          is_positive, parse_staged_expression,
+                          verify_exact_sequence)
 from grhom.graph import (Edge, Graph, GraphFormatError, StagedGraph,
-                         VertexClass, adjacency, classify_vertices,
-                         covering_graph, enumerate_paths, graph_from_dict,
-                         graph_to_dict, make_path, parse_graph, path_range,
-                         path_weight, serialize_graph, _json_text, _require)
+                         VertexClass, adjacency, check_unit_sink_free,
+                         classify_vertices, covering_graph, enumerate_paths,
+                         graph_from_dict, graph_to_dict, make_path,
+                         parse_graph, path_range, path_weight,
+                         serialize_graph, _json_text, _require)
+from grhom.homology import h0_presentation
 from grhom.intlinalg import mat_pow
 from random import Random
 
@@ -296,6 +302,96 @@ class TestAdjacency:
     def test_edgeless(self):
         g = graph_from_dict({"vertices": ["a", "b"], "edges": []})
         assert adjacency(g).rows == ((0, 0), (0, 0))
+
+
+@st.composite
+def multigraphs(draw):
+    """0 to 5 vertices and up to 8 edges between them, loops and parallel
+    edges included, with any weight ``graph_from_dict`` accepts: 0,
+    negative, huge, an int subclass, or none (so 1)."""
+    names = ["v%d" % i for i in range(draw(st.integers(0, 5)))]
+    weight = st.one_of(st.integers(-3, 4), st.just(10 ** 20),
+                       st.builds(IntSub, st.integers(-2, 2)), st.just(MISSING))
+    edges = []
+    for k in range(draw(st.integers(0, 8)) if names else 0):
+        item = {"id": "e%d" % k, "src": draw(st.sampled_from(names)),
+                "dst": draw(st.sampled_from(names)), "weight": draw(weight)}
+        edges.append({key: v for key, v in item.items() if v is not MISSING})
+    return graph_from_dict({"vertices": names, "edges": edges})
+
+
+class LookupSpy:
+    """Records every call of ``Graph.out_edges`` and ``Graph.vertex_index``
+    as (method name, vertex) while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        for name in ("out_edges", "vertex_index"):
+            monkeypatch.setattr(Graph, name, self._recording(name))
+
+    def _recording(self, name):
+        original = getattr(Graph, name)
+
+        def spy(g, v):
+            self.calls.append((name, v))
+            return original(g, v)
+
+        return spy
+
+    def of(self, fn, *args):
+        """The lookups made by one call of fn."""
+        self.calls.clear()
+        fn(*args)
+        return list(self.calls)
+
+
+class TestOutArcs:
+    @given(multigraphs())
+    @example(Graph(vertices=(), edges=()))
+    @example(graph_from_dict({"vertices": ["a", "b"], "edges": [
+        {"id": "l", "src": "a", "dst": "a", "weight": 0},
+        {"id": "p", "src": "a", "dst": "b", "weight": -2},
+        {"id": "q", "src": "a", "dst": "b"}]}))
+    def test_matches_out_edges(self, g):
+        assert g.out_arcs == tuple(
+            tuple((g.vertex_index(e.dst), e.weight) for e in g.out_edges(v))
+            for v in g.vertices)
+        assert g.out_arcs is g.out_arcs
+
+    def test_layers_take_indices_from_out_arcs(self, monkeypatch):
+        weighted = {"vertices": ["u", "v", "s"], "edges": [
+            {"id": "a", "src": "u", "dst": "u"},
+            {"id": "b", "src": "u", "dst": "v", "weight": 2},
+            {"id": "c", "src": "v", "dst": "u", "weight": 3},
+            {"id": "d", "src": "v", "dst": "s"}]}
+        unit = {"vertices": ["u", "v"], "edges": [
+            {"id": "a", "src": "u", "dst": "u"},
+            {"id": "b", "src": "u", "dst": "v"},
+            {"id": "c", "src": "v", "dst": "u"}]}
+        m = graded_module(graph_from_dict(weighted))
+        x = parse_staged_expression(m, "a(u,1) - a(v,0)")
+        y = parse_staged_expression(m, "a(u,0) + a(s,-1)")
+        spy = LookupSpy(monkeypatch)
+        # each call gets graphs and modules with nothing cached yet
+        for fn, *args in (
+                (h0_presentation, graph_from_dict(weighted)),
+                (verify_exact_sequence, graph_from_dict(weighted)),
+                (equals, graded_module(m.graph), x, y),
+                (is_positive, graded_module(graph_from_dict(weighted)), x, 3),
+                (classify_vertices, graph_from_dict(weighted)),
+                (graph_invariants, graph_from_dict(unit)),
+                (adjacency, graph_from_dict(unit)),
+                (check_unit_sink_free, graph_from_dict(unit), "test"),
+                (dimension_triple, graph_from_dict(unit))):
+            assert spy.of(fn, *args) == [], fn.__name__
+        with pytest.raises(ValueError, match="'s' is a sink"):
+            spy.of(check_unit_sink_free, graph_from_dict(weighted), "test")
+        assert spy.calls == []
+        # names a caller passes in are still looked up, once each
+        fresh = graded_module(graph_from_dict(weighted))
+        assert spy.of(fresh.relation, "v", 0) == [("vertex_index", "v")]
+        assert spy.of(parse_staged_expression, fresh, "a(s,2) - a(u,0)") == [
+            ("vertex_index", "s"), ("vertex_index", "u")]
 
 
 class TestCoveringGraph:
