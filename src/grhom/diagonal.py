@@ -10,15 +10,17 @@ vertex:
 Fixing one outgoing "special" edge per regular vertex turns the relation
 into a rewriting system whose normal forms are supported on vertices and on
 paths whose last edge is not special; the rewrite replaces a path beta.s
-ending in the special edge s by beta minus the siblings beta.e, e != s. The
-closed form of running that rewrite to completion along the maximal special
-suffix of a path is what ``normal_form`` computes term by term. The system
-is confluent, so any rewrite order gives the same result.
+ending in the special edge s by beta minus the siblings beta.e, e != s.
+``normal_form`` runs that rewrite to completion in one pass per term: it
+walks the term's maximal special suffix back to the prefix before it, and
+writes down the prefix minus every sibling branch off the suffix. The
+system is confluent, so any rewrite order gives the same result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .graph import Graph, Path, _split_terms, make_path, path_range
@@ -56,11 +58,16 @@ class SpecialEdgeChoice:
                              % next(iter(overrides)))
         return cls(by_vertex=tuple(chosen))
 
+    @cached_property
+    def _by_vertex(self):
+        # reversed, so a vertex listed twice keeps its first edge
+        return dict(reversed(self.by_vertex))
+
     def get(self, v):
-        for vertex, eid in self.by_vertex:
-            if vertex == v:
-                return eid
-        raise ValueError("no special edge for vertex %r" % v)
+        try:
+            return self._by_vertex[v]
+        except (KeyError, TypeError):
+            raise ValueError("no special edge for vertex %r" % v) from None
 
     def to_dict(self):
         return dict(self.by_vertex)
@@ -126,13 +133,6 @@ class DiagonalElement:
     def __rmul__(self, c):
         return self.scale(c)
 
-    def __eq__(self, other):
-        if not isinstance(other, DiagonalElement):
-            return NotImplemented
-        return dict(self.terms) == dict(other.terms)
-
-    __hash__ = None
-
 
 def expand(g: Graph, alpha: Path) -> DiagonalElement:
     """One defining-relation step: alpha alpha* as a sum over extensions."""
@@ -141,48 +141,33 @@ def expand(g: Graph, alpha: Path) -> DiagonalElement:
     if not out:
         raise ValueError("cannot expand at sink %r" % v)
     return DiagonalElement.from_terms(
-        [(Path(source=alpha.source if alpha.edges else v,
-               edges=alpha.edges + (e.eid,)), 1) for e in out])
-
-
-def _basis_expansion(g: Graph, sp: SpecialEdgeChoice, path: Path):
-    """Rewrite one projection to basis support, via its maximal special suffix.
-
-    Yields (path, coefficient) pairs. A path whose last edge is not special
-    (or a vertex) is already basic. Otherwise, with the special suffix
-    starting after position k, the projection equals the prefix of length k
-    minus all single-edge branches off the special spine.
-    """
-    edges = path.edges
-    l = len(edges)
-    k = l
-    while k > 0:
-        e = g.edge(edges[k - 1])
-        if sp.get(e.src) != edges[k - 1]:
-            break
-        k -= 1
-    if k == l:
-        yield (path, 1)
-        return
-    prefix = edges[:k]
-    anchor = path.source
-    yield (Path(source=anchor, edges=prefix), 1)
-    here = path_range(g, Path(source=anchor, edges=prefix))
-    for j in range(k, l):
-        for e in g.out_edges(here):
-            if e.eid != edges[j]:
-                yield (Path(source=anchor, edges=edges[:j] + (e.eid,)), -1)
-        here = g.edge(edges[j]).dst
+        [(Path(source=alpha.source, edges=alpha.edges + (e.eid,)), 1)
+         for e in out])
 
 
 def normal_form(g: Graph, x: DiagonalElement,
                 special: SpecialEdgeChoice | None = None) -> DiagonalElement:
-    """Canonical representative supported on vertices and non-special-tail paths."""
+    """Canonical representative supported on vertices and non-special-tail paths.
+
+    A term whose last edge is not special (or a vertex) is already basic.
+    Otherwise, with its maximal special suffix starting after position k,
+    the term equals its prefix of length k minus every single-edge branch
+    off the suffix: the siblings of each suffix edge.
+    """
     sp = special if special is not None else SpecialEdgeChoice.default(g)
     out: list[tuple[Path, int]] = []
     for path, c in x.terms.items():
-        for basic, sign in _basis_expansion(g, sp, path):
-            out.append((basic, c * sign))
+        edges, anchor = path.edges, path.source
+        k = len(edges)
+        while k and sp.get(g.edge(edges[k - 1]).src) == edges[k - 1]:
+            k -= 1
+        out.append((Path(source=anchor, edges=edges[:k]) if k < len(edges)
+                    else path, c))
+        for j in range(k, len(edges)):
+            for e in g.out_edges(g.edge(edges[j]).src):
+                if e.eid != edges[j]:
+                    out.append((Path(source=anchor,
+                                     edges=edges[:j] + (e.eid,)), -c))
     return DiagonalElement.from_terms(out)
 
 

@@ -424,11 +424,7 @@ class DimensionTriple:
         return self.at.nrows
 
     def element(self, vec, level: int = 0):
-        vec = _int_vector(vec)
-        if len(vec) != self.rank:
-            raise ValueError("vector length %d does not match rank %d"
-                             % (len(vec), self.rank))
-        return (vec, _require_int(level, "levels"))
+        return (self._vector(vec), _require_int(level, "levels"))
 
     def from_staged(self, sv: StagedVector):
         """Embed a staged vector; stage n lands at level -n."""
@@ -437,9 +433,6 @@ class DimensionTriple:
         level = -sv.min_stage()
         acc = [0] * self.rank
         for stage, vec in sv.stages:
-            if len(vec) != self.rank:
-                raise ValueError("vector length %d does not match rank %d"
-                                 % (len(vec), self.rank))
             part = mat_pow_apply(self.at, vec, stage - sv.min_stage())
             acc = list(map(add, acc, part))
         return (tuple(acc), level)

@@ -2,13 +2,14 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grhom.diagonal import (DiagonalElement, SpecialEdgeChoice, expand,
                             multiply, normal_form, parse_diagonal_expression,
                             to_h0_class)
 from grhom.corpus import random_graph
-from grhom.graph import (Graph, _looks_like_int, graph_from_dict, make_path,
-                         path_range)
+from grhom.graph import (Graph, Path, _looks_like_int, graph_from_dict,
+                         make_path, path_range)
 from grhom.homology import h0_presentation
 
 
@@ -63,6 +64,78 @@ def rewrite_random_order(rng, g, sp, x):
         x = x + DiagonalElement.unit(p, -c) + replacement.scale(c)
 
 
+@st.composite
+def diagonal_cases(draw):
+    """A multigraph on 1 to 5 vertices with up to 8 edges, loops, parallel
+    edges and sinks included, edge ids in shuffled order, and a seed for
+    drawing elements over it."""
+    names = ["v%d" % i for i in range(draw(st.integers(1, 5)))]
+    ids = draw(st.permutations(["e%d" % k for k in range(draw(
+        st.integers(0, 8)))]))
+    edges = [{"id": eid, "src": draw(st.sampled_from(names)),
+              "dst": draw(st.sampled_from(names))} for eid in ids]
+    g = graph_from_dict({"vertices": names, "edges": edges})
+    return g, draw(st.integers(0, 2 ** 32))
+
+
+class ReferenceChoice:
+    """A special-edge choice read as ``SpecialEdgeChoice.get`` read it
+    before it looked the vertex up in a dict: the body of ``get`` is kept
+    verbatim."""
+
+    def __init__(self, by_vertex):
+        self.by_vertex = by_vertex
+
+    def get(self, v):
+        for vertex, eid in self.by_vertex:
+            if vertex == v:
+                return eid
+        raise ValueError("no special edge for vertex %r" % v)
+
+
+def reference_basis_expansion(g, sp, path):
+    """``_basis_expansion`` as it was before ``normal_form`` absorbed it:
+    the body is kept verbatim."""
+    edges = path.edges
+    l = len(edges)
+    k = l
+    while k > 0:
+        e = g.edge(edges[k - 1])
+        if sp.get(e.src) != edges[k - 1]:
+            break
+        k -= 1
+    if k == l:
+        yield (path, 1)
+        return
+    prefix = edges[:k]
+    anchor = path.source
+    yield (Path(source=anchor, edges=prefix), 1)
+    here = path_range(g, Path(source=anchor, edges=prefix))
+    for j in range(k, l):
+        for e in g.out_edges(here):
+            if e.eid != edges[j]:
+                yield (Path(source=anchor, edges=edges[:j] + (e.eid,)), -1)
+        here = g.edge(edges[j]).dst
+
+
+def reference_normal_form(g, x, special):
+    """``normal_form`` as it was over ``reference_basis_expansion``."""
+    sp = ReferenceChoice(special.by_vertex)
+    out = []
+    for path, c in x.terms.items():
+        for basic, sign in reference_basis_expansion(g, sp, path):
+            out.append((basic, c * sign))
+    return DiagonalElement.from_terms(out)
+
+
+def nf_outcome(nf, g, x, special):
+    """The terms of the normal form in insertion order, or the error."""
+    try:
+        return list(nf(g, x, special=special).terms.items())
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
 class TestSpecialEdgeChoice:
     def test_default_least_edge_id(self, graph_e):
         sp = SpecialEdgeChoice.default(graph_e)
@@ -86,6 +159,20 @@ class TestSpecialEdgeChoice:
         assert sp.to_dict() == {}
         with pytest.raises(ValueError):
             SpecialEdgeChoice.default(single_sink, overrides={"s": "e"})
+
+    def test_hand_built_lookups(self, graph_e):
+        """A vertex listed twice keeps its first edge; an omitted vertex,
+        an unknown one and an unhashable one raise the same ValueError."""
+        sp = SpecialEdgeChoice(by_vertex=(("u", "f"), ("u", "e")))
+        assert sp.get("u") == "f"
+        for v in ("v", "w", ["u"]):
+            with pytest.raises(ValueError,
+                               match="^no special edge for vertex "):
+                sp.get(v)
+        assert sp.to_dict() == {"u": "e"}
+        # the cached lookup takes no part in equality or hashing
+        fresh = SpecialEdgeChoice(by_vertex=(("u", "f"), ("u", "e")))
+        assert sp == fresh and hash(sp) == hash(fresh)
 
 
 class TestExpand:
@@ -168,6 +255,79 @@ class TestNormalForm:
             rhs = normal_form(g, multiply(normal_form(g, x),
                                           normal_form(g, y)))
             assert lhs == rhs
+
+    @settings(max_examples=150)
+    @given(diagonal_cases(), st.data())
+    def test_overrides_match_random_order_rewrite(self, case, data):
+        """Under any valid choice of special edges, not only the default,
+        the normal form is what single rewrites in random order reach, and
+        what the old two-function body gave, term order included."""
+        g, seed = case
+        overrides = {}
+        for v in g.vertices:
+            out = g.out_edges(v)
+            if out and data.draw(st.booleans()):
+                overrides[v] = data.draw(st.sampled_from(out)).eid
+        sp = SpecialEdgeChoice.default(g, overrides=overrides)
+        rng = Random(seed)
+        x = random_element(rng, g)
+        assert rewrite_random_order(rng, g, sp, x) == normal_form(g, x, sp)
+        assert (nf_outcome(normal_form, g, x, sp)
+                == nf_outcome(reference_normal_form, g, x, sp))
+
+    @settings(max_examples=150)
+    @given(diagonal_cases(), st.data())
+    def test_hand_built_choices_match_reference(self, case, data):
+        """A hand-built choice may omit vertices, list one twice, name an
+        edge that leaves another vertex, or name unknown ids: the result,
+        or the error, is the old body's."""
+        g, seed = case
+        pair = st.tuples(st.sampled_from(g.vertices + ("w",)),
+                         st.sampled_from(tuple(e.eid for e in g.edges)
+                                         + ("q",)))
+        sp = SpecialEdgeChoice(by_vertex=tuple(data.draw(
+            st.lists(pair, max_size=6))))
+        x = random_element(Random(seed), g)
+        assert (nf_outcome(normal_form, g, x, sp)
+                == nf_outcome(reference_normal_form, g, x, sp))
+
+    def test_hand_built_choice_omitting_a_vertex(self, graph_e):
+        sp = SpecialEdgeChoice(by_vertex=(("u", "e"),))
+        x = unit(graph_e, ("f", "g"))
+        want = (ValueError, "no special edge for vertex 'v'")
+        assert nf_outcome(reference_normal_form, graph_e, x, sp) == want
+        assert nf_outcome(normal_form, graph_e, x, sp) == want
+
+    def test_hand_built_choice_naming_another_vertex_edge(self, graph_e):
+        # g leaves v, so no edge is special at u
+        sp = SpecialEdgeChoice(by_vertex=(("u", "g"), ("v", "g")))
+        x = (unit(graph_e, ("e", "f", "g")) + unit(graph_e, ("f",), coeff=2)
+             + unit(graph_e, ("e",)))
+        got = nf_outcome(normal_form, graph_e, x, sp)
+        assert got == nf_outcome(reference_normal_form, graph_e, x, sp)
+        assert dict(got) == {make_path(graph_e, ("e", "f")): 1,
+                             make_path(graph_e, ("f",)): 2,
+                             make_path(graph_e, ("e",)): 1}
+
+
+class TestDiagonalElementSemantics:
+    def test_equality(self, graph_f):
+        a = unit(graph_f, ("e",)) + unit(graph_f, ("f",), coeff=2)
+        b = unit(graph_f, ("f",), coeff=2) + unit(graph_f, ("e",))
+        assert a == b and not a != b
+        assert a != unit(graph_f, ("e",)) and a != a.scale(2)
+        assert DiagonalElement.zero() == (unit(graph_f, ("e",))
+                                          - unit(graph_f, ("e",)))
+
+    def test_other_types_are_unequal(self, graph_f):
+        assert (unit(graph_f, (), at="u") == 1) is False
+        assert (DiagonalElement.zero() == 0) is False
+        assert (DiagonalElement.zero() == {}) is False
+
+    def test_unhashable(self, graph_f):
+        for x in (DiagonalElement.zero(), unit(graph_f, ("e",))):
+            with pytest.raises(TypeError):
+                hash(x)
 
 
 class TestScale:

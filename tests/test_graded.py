@@ -1269,6 +1269,21 @@ class TestDimensionTriple:
         with pytest.raises(ValueError, match="vector entries must be ints"):
             t.element((1, bad), 0)
 
+    @pytest.mark.parametrize("vec", [(), (1,), (1, 0, 0)])
+    def test_wrong_length_message(self, graph_e, vec):
+        """``element`` and ``from_staged`` report a wrong length as
+        ``equal``, ``is_positive`` and ``mat_pow_apply`` do, whatever the
+        stage's power."""
+        t = dimension_triple(graph_e)
+        message = "^%s$" % re.escape(
+            "dimension mismatch: (2, 2) applied to length %d" % len(vec))
+        with pytest.raises(ValueError, match=message):
+            t.element(vec, 0)
+        if any(vec):
+            for staged in (sv({0: vec}), sv({0: (1, 0), 2: vec})):
+                with pytest.raises(ValueError, match=message):
+                    t.from_staged(staged)
+
     def test_element_accepts_int_subclass(self, graph_e):
         class Tagged(int):
             pass
