@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from .graph import Graph, adjacency, check_unit_sink_free
 from .homology import h0_presentation
 from .intlinalg import (FpAbelianGroup, IntMatrix, _require_int,
-                        characteristic_polynomial, kernel_basis, mat_pow,
+                        _require_square, characteristic_polynomial,
+                        kernel_basis, mat_pow,
                         sparse_characteristic_polynomial, sparse_cokernel)
 
 
@@ -67,16 +68,10 @@ class SearchBudget:
         return {"max_lag": self.max_lag, "entry_bound": self.entry_bound}
 
 
-def _require_square(a: IntMatrix, label: str):
-    if a.nrows != a.ncols:
-        raise ValueError("%s must be square, got %s x %s"
-                         % (label, a.nrows, a.ncols))
-
-
 def verify_shift_equivalence(a: IntMatrix, b: IntMatrix,
                              cert: ShiftEquivalenceCertificate) -> bool:
     """Exact check of the four shift-equivalence equations plus positivity."""
-    _require_square(a, "A")
+    _require_square(a)
     _require_square(b, "B")
     n, m = a.nrows, b.nrows
     if cert.r.shape != (n, m):
@@ -161,7 +156,7 @@ def search_shift_equivalence(a: IntMatrix, b: IntMatrix, max_lag: int,
     yields the lexicographic order of reversed entry tuples, which is the
     colexicographic order of R.
     """
-    _require_square(a, "A")
+    _require_square(a)
     _require_square(b, "B")
     SearchBudget(max_lag, entry_bound)  # checks both bounds
     r_valid = _intertwiners(a, b, entry_bound)

@@ -31,7 +31,8 @@ from .graph import (Graph, _looks_like_int, _split_terms, adjacency,
                     check_positive_weights, check_unit_sink_free)
 from .homology import Verdict, _require_cap, h0
 from .intlinalg import (FpAbelianGroup, IntMatrix, _int_vector, _require_int,
-                        eventual_kernel, mat_pow_apply, sparse_cokernel)
+                        _vector_for, eventual_kernel, mat_pow_apply,
+                        sparse_cokernel)
 
 
 def _negated(vec) -> tuple[int, ...]:
@@ -424,7 +425,7 @@ class DimensionTriple:
         return self.at.nrows
 
     def element(self, vec, level: int = 0):
-        return (self._vector(vec), _require_int(level, "levels"))
+        return (_vector_for(self.at, vec), _require_int(level, "levels"))
 
     def from_staged(self, sv: StagedVector):
         """Embed a staged vector; stage n lands at level -n."""
@@ -437,20 +438,11 @@ class DimensionTriple:
             acc = list(map(add, acc, part))
         return (tuple(acc), level)
 
-    def _vector(self, vec) -> tuple[int, ...]:
-        """vec as ints, of length ``rank``, with ``mat_pow_apply``'s error
-        otherwise, for every rank and power."""
-        vec = _int_vector(vec)
-        if len(vec) != self.rank:
-            raise ValueError("dimension mismatch: %s applied to length %d"
-                             % (self.at.shape, len(vec)))
-        return vec
-
     def equal(self, a, b) -> bool:
         """Whether two (vector, level) pairs name the same limit element.
         Both vectors and both levels are checked before either is walked."""
         (va, na), (vb, nb) = a, b
-        va, vb = self._vector(va), self._vector(vb)
+        va, vb = _vector_for(self.at, va), _vector_for(self.at, vb)
         na, nb = _require_int(na, "levels"), _require_int(nb, "levels")
         level = max(na, nb)
         wa = mat_pow_apply(self.at, va, level - na)
@@ -466,7 +458,7 @@ class DimensionTriple:
         The level is checked as in ``element`` and plays no other part."""
         cap = _require_cap(cap)
         vec, level = a
-        cur = self._vector(vec)
+        cur = _vector_for(self.at, vec)
         _require_int(level, "levels")
         for k in range(max(cap, self.rank) + 1):
             if not any(cur):

@@ -88,9 +88,6 @@ class Graph:
             raise ValueError("unknown vertex %r" % v)
         return self._out[v]
 
-    def is_regular(self, v):
-        return bool(self.out_edges(v))
-
     def max_weight(self):
         return max((e.weight for e in self.edges), default=1)
 

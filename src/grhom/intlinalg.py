@@ -5,6 +5,15 @@ normal form with its unimodular row transform, Hermite-reduced kernel bases,
 characteristic polynomials and eventual kernels of square matrices, and
 finitely generated abelian groups presented as cokernels.
 
+Each check on a matrix argument is made in one place, with one message.
+``_vector_for`` reads a vector as ints of the matrix's column count,
+else ``dimension mismatch: (r, c) applied to length n``;
+``_require_square`` rejects a matrix that is not square with
+``A must be square, got r x c``, the label A replaceable. Matrix-vector
+products and powers, characteristic polynomials, eventual kernels,
+``graded.DimensionTriple`` and the shift-equivalence code of ``dynamics``
+all call these two.
+
 There is one Smith elimination, ``_eliminate``, on sparse rows: dicts
 column -> nonzero entry under stable row ids, with ``order`` mapping
 positions to row ids, ``at``/``pos`` permuting the columns and a set of
@@ -66,6 +75,23 @@ def _int_vector(vec) -> tuple[int, ...]:
     if all(type(x) is int for x in vec):
         return vec
     return tuple(_require_int(x, "vector entries") for x in vec)
+
+
+def _vector_for(a, vec) -> tuple[int, ...]:
+    """vec as ints, of a's column count: the one check that a vector fits
+    the matrix a, with the one message when it does not."""
+    vec = _int_vector(vec)
+    if len(vec) != a.ncols:
+        raise ValueError("dimension mismatch: %s applied to length %d"
+                         % (a.shape, len(vec)))
+    return vec
+
+
+def _require_square(a, label="A"):
+    """The one square check, named ``label`` in its message."""
+    if a.nrows != a.ncols:
+        raise ValueError("%s must be square, got %s x %s"
+                         % (label, a.nrows, a.ncols))
 
 
 @dataclass(frozen=True)
@@ -146,10 +172,7 @@ class IntMatrix:
 
     def apply(self, vec):
         """Matrix-vector product, vec given as a sequence of ints."""
-        vec = _int_vector(vec)
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch: %s applied to length %d"
-                             % (self.shape, len(vec)))
+        vec = _vector_for(self, vec)
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
 
     def is_zero(self):
@@ -604,9 +627,7 @@ def characteristic_polynomial(a: IntMatrix) -> tuple[int, ...]:
     """Monic characteristic polynomial det(tI - A), coefficients by
     descending degree: ``sparse_characteristic_polynomial`` of the
     nonzeros of A's rows, which are scanned once."""
-    n = a.nrows
-    if a.ncols != n:
-        raise ValueError("A must be square, got %s x %s" % (n, a.ncols))
+    _require_square(a)
     return sparse_characteristic_polynomial(
         [[(j, x) for j, x in enumerate(row) if x] for row in a.rows])
 
@@ -663,10 +684,7 @@ def sparse_characteristic_polynomial(rows) -> tuple[int, ...]:
 
 
 def _poly_mul(p, q) -> list[int]:
-    """The product of two polynomials, coefficients by descending degree;
-    the factor [1] is returned as the other one."""
-    if p == [1]:
-        return q
+    """The product of two polynomials, coefficients by descending degree."""
     out = [0] * (len(p) + len(q) - 1)
     for i, x in enumerate(p):
         for j, y in enumerate(q):
@@ -785,10 +803,7 @@ def eventual_kernel(a: IntMatrix) -> IntMatrix:
     kernel more: on sparse matrices with row sums 2 it is the slower one.
     """
     n = a.nrows
-    if a.ncols != n:
-        raise ValueError("eventual kernel requires a square matrix, got %s"
-                         % (a.shape,))
-    chi = characteristic_polynomial(a)
+    chi = characteristic_polynomial(a)  # checks that a is square
     # chi is monic, so its leading 1 ends the count at z <= n
     z = next(k for k, c in enumerate(reversed(chi)) if c)
     if not z:
@@ -798,9 +813,7 @@ def eventual_kernel(a: IntMatrix) -> IntMatrix:
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
-    if a.nrows != a.ncols:
-        raise ValueError("matrix power requires a square matrix, got %s"
-                         % (a.shape,))
+    _require_square(a)
     k = _require_int(k, "powers")
     if k < 0:
         raise ValueError("negative matrix power")
@@ -820,14 +833,9 @@ def mat_pow_apply(a: IntMatrix, vec, k: int):
     k = _require_int(k, "powers")
     if k < 0:
         raise ValueError("negative matrix power")
-    vec = _int_vector(vec)
-    if len(vec) != a.ncols:
-        raise ValueError("dimension mismatch: %s applied to length %d"
-                         % (a.shape, len(vec)))
-    if k == 0:
-        return vec
-    if k > 1 and a.nrows != a.ncols:
-        raise ValueError("iterated application requires a square matrix")
+    vec = _vector_for(a, vec)
+    if k > 1:
+        _require_square(a)
     for _ in range(k):
         vec = a.apply(vec)
     return vec

@@ -392,6 +392,68 @@ class TestVertexLessGraph:
                                              "message": message}}
 
 
+def readme_weight_table():
+    """The weight table under "## Graph files" in README.md, as
+    {weights needed: subcommands}."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Graph files\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines()
+            if line.startswith("| `")]
+    return {need.strip(): re.findall(r"`(\w+)`", cmds) for cmds, need in rows}
+
+
+class TestWeightRule:
+    """Each subcommand on one vertex with one loop of weight 0 or -2:
+    ``graph_from_dict`` reads both, and each subcommand takes them or
+    fails with a value error as the README weight table says."""
+
+    ANY, POSITIVE, UNIT = ("any integer", "every weight >= 1",
+                           "every weight 1, and no sinks")
+    CELLS = [
+        (["cover", "--min", "0", "--max", "1"], ANY, None),
+        (["paths", "--max-len", "2"], ANY, None),
+        (["nf", "--expr", "e"], ANY, None),
+        (["h0"], POSITIVE, "edge 'e' has non-positive weight %d; "
+         "homology requires weights >= 1"),
+        (["oracle", "--max-len", "2"], POSITIVE, "edge 'e' has non-positive "
+         "weight %d; homology requires weights >= 1"),
+        (["h0gr", "--equals", "a(u,0)", "a(u,1)"], POSITIVE, "edge 'e' has "
+         "non-positive weight %d; the graded module requires weights >= 1"),
+        (["h0gr", "--positive", "a(u,0)"], POSITIVE, "edge 'e' has "
+         "non-positive weight %d; the graded module requires weights >= 1"),
+        (["exactness"], POSITIVE, "edge 'e' has non-positive weight %d; "
+         "the graded module requires weights >= 1"),
+        (["triple"], UNIT, "dimension triple requires all weights 1; "
+         "edge 'e' has weight %d"),
+        (["compare", None, "--max-lag", "1", "--entry-bound", "1"], UNIT,
+         "first graph: an edge shift requires all weights 1; "
+         "edge 'e' has weight %d"),
+    ]
+
+    def test_readme_table_names_every_subcommand_once(self):
+        table = {need: [] for _, need, _ in self.CELLS}
+        for argv, need, _ in self.CELLS:
+            if argv[0] not in table[need]:
+                table[need].append(argv[0])
+        assert readme_weight_table() == table
+
+    @pytest.mark.parametrize("weight", [0, -2])
+    def test_subcommand_by_weight(self, capsys, tmp_path, weight):
+        f = tmp_path / "loop.json"
+        f.write_text(json.dumps({"vertices": ["u"], "edges": [
+            {"id": "e", "src": "u", "dst": "u", "weight": weight}]}))
+        for argv, _, message in self.CELLS:
+            rest = [str(f) if a is None else a for a in argv[1:]]
+            code, out = run_cli(capsys, argv[0], str(f), *rest)
+            doc = json.loads(out)
+            if message is None:
+                assert code == 0 and "error" not in doc, argv
+            else:
+                assert code == 2, argv
+                assert doc == {"error": {"kind": "value",
+                                         "message": message % weight}}
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, capsys, data_dir):
         f = path(data_dir, "graphE.json")

@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -981,3 +982,61 @@ class TestGroupFromFactors:
     def test_validation(self):
         with pytest.raises(ValueError):
             FpAbelianGroup(0, (3, 2))
+
+
+def _argument_check_rows():
+    """(entry point, call, message) for every entry point of the one
+    vector check and the one square check: sq is 2 x 2, the triple's
+    transposed adjacency is too, and wide is 2 x 3."""
+    from grhom.dynamics import (ShiftEquivalenceCertificate,
+                                characteristic_polynomial,
+                                search_shift_equivalence,
+                                verify_shift_equivalence)
+    from grhom.graded import StagedVector, dimension_triple
+    sq, wide = mat([[1, 1], [1, 0]]), mat([[1, 0, 1], [0, 1, 1]])
+    cert = ShiftEquivalenceCertificate(r=sq, s=sq, lag=1)
+    t = dimension_triple(graph_from_dict({"vertices": ["u", "v"], "edges": [
+        {"id": "e", "src": "u", "dst": "v"},
+        {"id": "f", "src": "v", "dst": "u"}]}))
+    bad = (1, 2, 3)
+    vector = "dimension mismatch: (2, 2) applied to length 3"
+    square = "%s must be square, got 2 x 3"
+    return [
+        ("IntMatrix.apply", lambda: sq.apply(bad), vector),
+        ("mat_pow_apply-k0", lambda: mat_pow_apply(sq, bad, 0), vector),
+        ("mat_pow_apply-k1", lambda: mat_pow_apply(sq, bad, 1), vector),
+        ("mat_pow_apply-k2", lambda: mat_pow_apply(sq, bad, 2), vector),
+        ("DimensionTriple.element", lambda: t.element(bad), vector),
+        ("DimensionTriple.from_staged",
+         lambda: t.from_staged(StagedVector.build({0: bad})), vector),
+        ("DimensionTriple.equal",
+         lambda: t.equal(((1, 0), 0), (bad, 0)), vector),
+        ("DimensionTriple.is_positive",
+         lambda: t.is_positive((bad, 0), 3), vector),
+        ("characteristic_polynomial",
+         lambda: characteristic_polynomial(wide), square % "A"),
+        ("eventual_kernel", lambda: eventual_kernel(wide), square % "A"),
+        ("mat_pow", lambda: mat_pow(wide, 2), square % "A"),
+        ("mat_pow_apply-k2-wide",
+         lambda: mat_pow_apply(wide, bad, 2), square % "A"),
+        ("verify_shift_equivalence-A",
+         lambda: verify_shift_equivalence(wide, sq, cert), square % "A"),
+        ("verify_shift_equivalence-B",
+         lambda: verify_shift_equivalence(sq, wide, cert), square % "B"),
+        ("search_shift_equivalence-A",
+         lambda: search_shift_equivalence(wide, sq, 1, 1), square % "A"),
+        ("search_shift_equivalence-B",
+         lambda: search_shift_equivalence(sq, wide, 1, 1), square % "B"),
+    ]
+
+
+class TestArgumentChecks:
+    """Each entry point that takes a vector for a matrix, or needs a
+    square matrix, raises the one message of the one check."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(call, message, id=name)
+        for name, call, message in _argument_check_rows()])
+    def test_one_message(self, call, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            call()
