@@ -6,19 +6,19 @@ relation column per regular vertex v:
     indicator(v) - sum over e in s^-1(v) of indicator(r(e))
 
 For sink-free graphs the relation matrix is I - A^T. The module computes the
-group in canonical form, canonical coordinates of classes, a sound bounded
-positivity test, and an independent brute-force presentation on truncated
-path generators used as an oracle for the vertex presentation.
+group in canonical form, canonical coordinates of classes, an exact test of
+the order, and an independent brute-force presentation on truncated path
+generators used as an oracle for the vertex presentation.
 
 A graph's presentation is built once per ``Graph`` instance, as sparse
 relation columns read from ``Graph.out_arcs``, and carries the Smith
 decomposition of the one sparse elimination, computed on first use and
 shared by every query on the graph: ``h0`` reads the group from its
-diagonal, coordinates replay its log forward once per vector
-(``SmithDecomposition.u_apply``), and the Negative certificates of
-``h0_is_positive`` are the nonnegative kernel rows of u, walked back
-through the log once per presentation. Only reports and tests build the
-dense matrix. The oracle writes its relations as sparse columns, from
+diagonal, and coordinates replay its log forward once per vector
+(``SmithDecomposition.u_apply``). ``h0_is_positive`` needs neither: it
+walks the strongly connected components of ``Graph.out_arcs`` once per
+sign (``_in_cone``). Only reports and tests build the dense matrix. The
+oracle writes its relations as sparse columns, from
 per-vertex lists of out-edges and no path objects: level 1 of its
 generators is the edges sorted by id, and each longer level lists every
 parent's extensions together, in parent order, sorted by edge id. Most
@@ -29,23 +29,39 @@ presentation to the vertex one (Matui, Proc. LMS 2012).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from operator import add, attrgetter, mul
+from operator import attrgetter, neg
 
 from .graph import Graph, check_positive_weights
 from .intlinalg import (FpAbelianGroup, IntMatrix, SmithDecomposition,
-                        _group, _int_vector, _left_kernel, _require_int,
-                        sparse_cokernel, sparse_smith_normal_form)
+                        _group, _int_vector, _require_int,
+                        _strong_components, sparse_cokernel,
+                        sparse_smith_normal_form)
 
 
 class Verdict(Enum):
+    """The answer of an order test on an element x.
+
+    - Positive: x lies in the positive cone.
+    - Negative: -x lies in the positive cone and x does not.
+    - Zero: x is zero.
+    - Incomparable: neither x nor -x lies in the positive cone.
+    - Unknown: the cap ran out before the test could tell.
+
+    ``h0_is_positive`` is exact and answers Positive (the zero class
+    included), Negative or Incomparable. ``graded.is_positive`` and
+    ``graded.DimensionTriple.is_positive`` answer Zero, Positive,
+    Negative or Unknown: Positive and Negative there mean a nonzero x
+    with a nonnegative or nonpositive representative within the cap.
+    """
+
     POSITIVE = "Positive"
     NEGATIVE = "Negative"
     ZERO = "Zero"
+    INCOMPARABLE = "Incomparable"
     UNKNOWN = "Unknown"
 
 
@@ -86,21 +102,6 @@ class H0Presentation:
             for i, x in col:
                 rows[i][j] = x
         return IntMatrix(tuple(map(tuple, rows)), len(self.relation_columns))
-
-    @cached_property
-    def separators(self) -> tuple[tuple[int, ...], ...]:
-        """The entrywise-nonnegative functionals among the Hermite basis
-        rows of the left kernel and their negations: the candidates for
-        the Negative certificate of ``h0_is_positive``."""
-        return tuple(cand for row in _left_kernel(self.smith).rows
-                     for cand in (row, tuple(-x for x in row))
-                     if min(cand) >= 0)
-
-    @cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """The dense relation columns, one per regular vertex: the moves
-        of ``h0_is_positive``."""
-        return tuple(zip(*self.relations.rows))
 
 
 def h0_presentation(g: Graph) -> H0Presentation:
@@ -171,54 +172,80 @@ def h0_class(g: Graph, vec) -> tuple[int, ...]:
     return _class_coordinates(*_presented_vector(g, vec))
 
 
-def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
-    """Bounded three-valued test for membership of [vec] in the cone.
+def _in_cone(g: Graph, x) -> bool:
+    """Whether [x] lies in the positive cone: whether x + My >= 0 for some
+    integer y on the regular vertices, M the relation matrix.
 
-    Positive exhibits a nonnegative representative: vec itself, the zero
-    vector when the class is zero, or one reached by breadth-first
-    relation moves within cap dequeues. Negative needs a Positive
-    certificate for -vec and a cap-independent proof that [vec] is not in
-    the cone, so verdicts never flip as cap grows. The proof is an
-    entrywise-nonnegative integer functional that kills every relation
-    column and is negative on vec; the candidates are the Hermite basis
-    vectors of the left kernel and their negations, from the Smith
-    decomposition that gives the coordinates (``H0Presentation.separators``).
+    Row w of x + My >= 0 reads y_w >= inflow_w - x_w at a regular w and
+    inflow_w <= x_w at a sink w, where inflow_w = sum of y_v over the arcs
+    v -> w of ``Graph.out_arcs`` (a loop counts; arcs are read there and
+    not from the relation columns, where a loop's entry cancels). Row w
+    involves y only at w and at w's predecessors, so the strongly
+    connected components are decided upstream first, each given the
+    values above it. As A >= 0, a smaller y upstream only lowers the
+    inflows below, and the solutions are closed under entrywise min; so
+    each vertex either has a least value or falls without bound, and it
+    is enough to take each vertex at its least value, or as low as
+    needed. ``lack[w]`` accumulates inflow_w - x_w from the values above.
 
-    A nonnegative vec is Positive before u @ vec, the dense relation
-    columns or the moves are built. Otherwise the proof picks the one
-    search to run: a functional takes one value on the class and is
-    nonnegative on the cone, so with one the search from vec cannot
-    succeed and only that from -vec runs; without one Negative is out of
-    reach and only the search from vec runs.
+    - A vertex on no cycle: at a regular w, y_w = lack[w] is least. A sink
+      needs lack[w] <= 0 unless its inflow falls without bound.
+    - A component with more internal arcs than vertices has spectral
+      radius rho > 1, as a strongly connected digraph with rho = 1 is a
+      cycle. Its Perron vector p > 0, B^T p = rho p for the component's
+      adjacency B, has a rational neighbour q > 0 with B^T q > q, which
+      scales to an integer q with B^T q >= q + 1. Then y = -t q meets
+      every row of the component once t exceeds each lack, so its values
+      fall without bound whatever flows in.
+    - On a plain cycle each vertex has one internal in-arc, and the rows
+      read y_w >= y_v + lack[w] along each arc v -> w. Summed around the
+      cycle they need sum(lack) <= 0, which also suffices (take y along
+      the cycle as the running sums of lack), unless an inflow falls
+      without bound. A feasible cycle shifts by any constant, so its
+      values fall without bound; an infeasible one puts x outside.
+
+    A vertex fed by one that falls without bound falls without bound too.
     """
-    cap = _require_cap(cap)
-    pres, vec = _presented_vector(g, vec)
-    if min(vec, default=0) >= 0 or not any(_class_coordinates(pres, vec)):
+    arcs = g.out_arcs
+    lack = list(map(neg, x))
+    free = [False] * len(arcs)
+    for comp in reversed(_strong_components([[j for j, _ in a]
+                                             for a in arcs])):
+        members = set(comp)
+        inner = sum(j in members for v in comp for j, _ in arcs[v])
+        if inner:
+            if inner == len(comp) and not any(map(free.__getitem__, comp)) \
+                    and sum(map(lack.__getitem__, comp)) > 0:
+                return False
+            for v in comp:
+                free[v] = True
+        elif not arcs[comp[0]] and not free[comp[0]] and lack[comp[0]] > 0:
+            return False
+        for v in comp:
+            for j, _ in arcs[v]:
+                if free[v]:
+                    free[j] = True
+                else:
+                    lack[j] += lack[v]
+    return True
+
+
+def h0_is_positive(g: Graph, vec, cap: int) -> Verdict:
+    """Exact order test: Positive when [vec] lies in the cone (the zero
+    class included), else Negative when [-vec] does, else Incomparable.
+
+    A nonnegative vec is Positive without a walk; otherwise ``_in_cone``
+    decides x = vec, then x = -vec. No Smith form is built. ``cap`` is
+    checked first, as by the other order tests, and no longer changes
+    the verdict.
+    """
+    _require_cap(cap)
+    _, vec = _presented_vector(g, vec)
+    if min(vec, default=0) >= 0 or _in_cone(g, vec):
         return Verdict.POSITIVE
-    if any(sum(map(mul, cand, vec)) < 0 for cand in pres.separators):
-        start, found = tuple(-x for x in vec), Verdict.NEGATIVE
-    else:
-        start, found = vec, Verdict.POSITIVE
-    if min(start) >= 0:
-        return found
-    # breadth-first over each relation column, then its negation
-    moves = [m for col in pres.columns
-             for m in (col, tuple(-x for x in col))]
-    seen = {start}
-    queue = deque([start])
-    dequeued = 0
-    while queue and dequeued < cap:
-        cur = queue.popleft()
-        dequeued += 1
-        for move in moves:
-            nxt = tuple(map(add, cur, move))
-            if nxt in seen:
-                continue
-            if min(nxt) >= 0:
-                return found
-            seen.add(nxt)
-            queue.append(nxt)
-    return Verdict.UNKNOWN
+    if _in_cone(g, tuple(map(neg, vec))):
+        return Verdict.NEGATIVE
+    return Verdict.INCOMPARABLE
 
 
 def h0_bruteforce_oracle(g: Graph, max_len: int) -> FpAbelianGroup:

@@ -35,8 +35,8 @@ u @ vec by replaying the log forward on a copy of vec, w_k += q * w_src
 vector, which is how ``homology.h0_class`` gets its coordinates. As
 w E = w + q w_k e_src^T, ``SmithDecomposition.u_rows`` starts from
 e_{order[r]} and walks the log backwards, adding q * w_k to w_src, for
-the rows of u that kernels read: ``_left_kernel`` takes those with factor
-0 or past the diagonal, the source of every kernel.
+the rows of u that ``kernel_basis`` reads: those with factor 0 or past the
+diagonal, which span the left kernel.
 
 Sparse input is one form, relation columns: a list with one sequence of
 (row, entry) pairs per column, rows distinct and entries nonzero, plus
@@ -552,22 +552,19 @@ def hermite_row_basis(rows, ncols) -> IntMatrix:
     return IntMatrix(basis, ncols)
 
 
-def _left_kernel(dec: SmithDecomposition) -> IntMatrix:
-    """Hermite basis (as rows) of {y : y @ a == 0}, a the decomposed matrix.
+def kernel_basis(a: IntMatrix) -> IntMatrix:
+    """Hermite-reduced basis (as rows) of the integer kernel of a: the
+    left kernel of a^T, since a @ x == 0 exactly when x @ a^T == 0.
 
-    u @ a == s @ v^-1, so y @ a == 0 iff y @ u^-1 vanishes on the rows of s
-    with a nonzero factor: the rows of u whose factor is 0 or that lie past
-    the diagonal span the left kernel, and only those rows are built."""
+    With u @ a^T == s @ v^-1 from the Smith decomposition of a^T,
+    y @ a^T == 0 iff y @ u^-1 vanishes on the rows of s with a nonzero
+    factor: the rows of u whose factor is 0 or that lie past the diagonal
+    span the left kernel, and only those rows are built."""
+    dec = smith_normal_form(a.transpose())
     factors = dec.factors
     m = len(dec.order)
     return hermite_row_basis(dec.u_rows(
         [i for i in range(m) if i >= len(factors) or factors[i] == 0]), m)
-
-
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Hermite-reduced basis (as rows) of the integer kernel of a: the
-    left kernel of a^T, since a @ x == 0 exactly when x @ a^T == 0."""
-    return _left_kernel(smith_normal_form(a.transpose()))
 
 
 def _strong_components(succ) -> list[list[int]]:

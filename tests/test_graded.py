@@ -1,5 +1,4 @@
 import re
-from collections import deque
 from dataclasses import fields, replace
 from itertools import product
 from random import Random
@@ -7,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grhom import graded, homology
+from grhom import graded
 from grhom.corpus import enumerate_multigraphs, random_graph
 from grhom.graded import (GradedModule, StagedVector, _decision_depth,
                           _sample_elements, dimension_triple,
@@ -996,31 +995,6 @@ class TestOneWalkStructure:
         assert _decision_depth(m) > 1
         assert is_positive(m, v, 10) is Verdict.POSITIVE
         assert targets == [1]
-
-    def test_h0_is_positive_runs_at_most_one_search(self, monkeypatch):
-        """Per call, at most one breadth-first search starts; unseparated
-        vectors whose search from vec fails, which also searched from -vec
-        before, are among the calls."""
-        searches = []
-
-        class Counted(deque):
-            def __init__(self, items):
-                searches.extend(items)
-                super().__init__(items)
-
-        monkeypatch.setattr(homology, "deque", Counted)
-        rng = Random(43)
-        futile = 0
-        for _ in range(200):
-            g = random_graph(rng, 5, 8)
-            n = len(g.vertices)
-            v = tuple(rng.randint(-3, 3) for _ in range(n))
-            for cap in (0, 1, 5, 20):
-                searches.clear()
-                verdict = h0_is_positive(g, v, cap)
-                assert len(searches) <= 1
-                futile += verdict is Verdict.UNKNOWN and searches == [v]
-        assert futile > 0
 
 
 BAD_CAPS = [(-1, "cap must be nonnegative"),

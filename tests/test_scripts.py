@@ -24,7 +24,7 @@ DIGESTS = {
     "compare":
         "a99ae4522021860c4f7feabf117d4f3b6320df2241f91563faf0f60b702e0ac2",
     "survey":
-        "470d53bc7f933e5e7a02559ccff7990e4e595b9858bdadde62887e13ee7fa116",
+        "670386005b60432433fbf7234d97685124cf4af4bd26e0cc8a43a6bb6fb2af60",
     "queries":
         "62610b1512e27a3013f2d79bf77bee7457d07500db1ffa8714494e68871a9c87",
 }
